@@ -1,14 +1,16 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke fuzz-smoke golden
+.PHONY: ci fmt vet build test race race-hot chaos bench bench-smoke fuzz-smoke golden perfbench
 
 # Tier-1 gate: everything must be gofmt-clean, vet, build, and test
 # green, the concurrency-heavy packages must pass under the race
 # detector, the chaos/elastic fault-injection suite must pass under a
 # pinned fault schedule, every root benchmark must compile and run
-# once, and the serving parsers must survive a short fuzz run.
-ci: fmt vet build test race-hot chaos bench-smoke fuzz-smoke
+# once, the serving parsers must survive a short fuzz run, and the
+# benchmark module must still compile against the library and pass its own
+# tests.
+ci: fmt vet build test race-hot chaos bench-smoke fuzz-smoke perfbench
 
 # Fail if any tracked Go file is not gofmt-formatted.
 fmt:
@@ -62,6 +64,13 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzModelVersion -fuzztime $(FUZZTIME)
+
+# perfbench/ is its own Go module (it imports this one through a replace
+# directive), so vet/build/test above never compile it; an API change here
+# could break the benchmark unnoticed without this target.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Refresh the committed golden snapshots (tf/testdata/optimized_graph.golden
 # and tf/testdata/frozen_graph.golden). Run after deliberately changing a

@@ -597,14 +597,11 @@ func BenchmarkConv2D(b *testing.B) {
 	}
 }
 
-// BenchmarkPSApplySyncStep is the PR 10 ablation: one synchronous round
-// (m = 1, so no waiting on peers) through the legacy chief-apply path —
-// gradients fetched to the chief, aggregated, and fed back into a PS-side
-// apply graph — versus the shard-apply path, where the worker pushes its
-// gradients to the owning PS shard and the update rule runs next to the
-// variable. The sparse case pushes only the gathered embedding rows
-// (indices + values) of a large table instead of a vocab-sized dense
-// gradient.
+// BenchmarkPSApplySyncStep times one synchronous round (m = 1, so no
+// waiting on peers): the worker pushes its gradients to the owning PS shard
+// and the update rule runs next to the variable. The sparse case pushes
+// only the gathered embedding rows (indices + values) of a large table
+// instead of a vocab-sized dense gradient.
 func BenchmarkPSApplySyncStep(b *testing.B) {
 	const (
 		features = 32
@@ -673,9 +670,6 @@ func BenchmarkPSApplySyncStep(b *testing.B) {
 		}
 	}
 
-	b.Run("chief-apply", func(b *testing.B) {
-		run(b, train.ReplicatedOptions{ChiefApply: true}, denseModel, denseFeeds)
-	})
 	b.Run("ps-apply", func(b *testing.B) {
 		run(b, train.ReplicatedOptions{}, denseModel, denseFeeds)
 	})

@@ -164,7 +164,7 @@ type PushGradientsReq struct {
 	Origin   string // pushing worker's task name (per-round dedup key)
 	Round    int64
 	NumFresh int
-	Rule     UpdateRule
+	Rule     ops.UpdateRule
 	Grads    []GradientPush
 	// StepName, when non-empty, names the scalar step counter on this shard
 	// to SET to Round+1 after applying (only the shard owning the global

@@ -1,6 +1,6 @@
 package distributed_test
 
-// PR 10 integration battery: PS-side optimizer application (gradients
+// PS-apply integration battery: PS-side optimizer application (gradients
 // pushed to the owning shard, applied where the variable lives) driven
 // through the chaos transport and elastic membership. These live here so
 // `make chaos` and the CI race gate on internal/distributed exercise the
@@ -51,14 +51,14 @@ func driveSyncRounds(t *testing.T, step func(wi int, s int) (float64, error), wo
 }
 
 // syncPSApplyBaseline is the fault-free fixed-cluster reference: 2 PS + 2
-// workers, synchronous Momentum with shard-side apply.
-func syncPSApplyBaseline(t *testing.T, rounds int) [][]float64 {
+// workers, synchronous training with shard-side apply.
+func syncPSApplyBaseline(t *testing.T, opt train.Optimizer, rounds int) [][]float64 {
 	t.Helper()
 	spec := distributed.ClusterSpec{"ps": make([]string, 2), "worker": make([]string, 2)}
 	cluster := distributed.NewInProcCluster(spec)
 	r, err := train.NewReplicated(train.ReplicatedOptions{
 		Cluster: spec, Resolver: cluster.Resolver(),
-		Optimizer: &train.Momentum{LearningRate: 0.02, Decay: 0.9},
+		Optimizer: opt,
 		Sync:      true,
 	}, krModel)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 		rounds    = 14
 		tolerance = 1e-6
 	)
-	want := syncPSApplyBaseline(t, rounds)
+	want := syncPSApplyBaseline(t, &train.Momentum{LearningRate: 0.02, Decay: 0.9}, rounds)
 
 	spec, resolver, _, _ := krCluster(t, 2, 2, "")
 	plan, err := distributed.NewChaosPlan(distributed.ChaosConfig{
@@ -132,17 +132,32 @@ func TestChaosSyncPSApplyMatchesFaultFree(t *testing.T) {
 // TestElasticRebuildRestoresOptimizerSlots: with optimizer state living on
 // the PS shards, a membership change that re-shards the variables must
 // migrate the slot state too. One PS dies silently mid-training; the
-// rebuild merges shard checkpoints — momentum velocities included — onto
-// the survivor, and the loss trajectory stays step-for-step on the
-// uninterrupted baseline, which it cannot do if the velocities restart at
-// zero.
+// rebuild merges shard checkpoints — Momentum's velocities, or Adam's two
+// moments per variable — onto the survivor, and the loss trajectory stays
+// step-for-step on the uninterrupted baseline, which it cannot do if the
+// slots restart at zero.
 func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		opt   func() train.Optimizer
+		slots []string
+	}{
+		{"momentum", func() train.Optimizer { return &train.Momentum{LearningRate: 0.02, Decay: 0.9} },
+			[]string{"w/momentum", "b/momentum"}},
+		{"adam", func() train.Optimizer { return &train.Adam{LearningRate: 0.05} },
+			[]string{"w/adam_m", "w/adam_v", "b/adam_m", "b/adam_v"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testElasticRebuildRestoresSlots(t, tc.opt, tc.slots) })
+	}
+}
+
+func testElasticRebuildRestoresSlots(t *testing.T, opt func() train.Optimizer, slots []string) {
 	const (
 		preRounds  = 10
 		postRounds = 6
 		tolerance  = 1e-6
 	)
-	want := syncPSApplyBaseline(t, preRounds+postRounds)
+	want := syncPSApplyBaseline(t, opt(), preRounds+postRounds)
 
 	prefix := filepath.Join(t.TempDir(), "ckpt")
 	spec := distributed.ClusterSpec{
@@ -174,7 +189,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 
 	e, err := train.NewElastic(train.ElasticOptions{
 		Cluster:           cluster,
-		Optimizer:         &train.Momentum{LearningRate: 0.02, Decay: 0.9},
+		Optimizer:         opt(),
 		Sync:              true,
 		CheckpointPrefix:  prefix,
 		CheckpointEvery:   1000, // only explicit and migration saves
@@ -215,7 +230,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 		}
 	}
 
-	// Phase 1: full strength, velocities building on both shards.
+	// Phase 1: full strength, slot state building on both shards.
 	for s := 0; s < preRounds; s++ {
 		runRound(s)
 	}
@@ -245,7 +260,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 
 	for wi := range want {
 		for s := range want[wi] {
-			if diff := math.Abs(got[wi][s] - want[wi][s]); diff > tolerance*math.Max(1, math.Abs(want[wi][s])) {
+			if diff := math.Abs(got[wi][s] - want[wi][s]); !(diff <= tolerance*math.Max(1, math.Abs(want[wi][s]))) {
 				t.Errorf("worker %d round %d: elastic loss %.9f diverged from baseline %.9f — optimizer slots lost in the rebuild?",
 					wi, s, got[wi][s], want[wi][s])
 			}
@@ -255,10 +270,10 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 		t.Errorf("global step = %d, %v; want %d", gs, err, preRounds+postRounds)
 	}
 
-	// Direct evidence: the surviving shard now owns every velocity slot,
-	// and they carry trained (nonzero) state.
+	// Direct evidence: the surviving shard now owns every slot, and they
+	// carry trained (nonzero) state.
 	snap := pss[distributed.TaskName("ps", 0)].Worker.Device().Resources().SnapshotVariables()
-	for _, name := range []string{"w/momentum", "b/momentum"} {
+	for _, name := range slots {
 		v := snap[name]
 		if v == nil {
 			t.Errorf("slot %q missing from the surviving shard after migration", name)
@@ -271,7 +286,7 @@ func TestElasticRebuildRestoresOptimizerSlots(t *testing.T) {
 			}
 		}
 		if !nonzero {
-			t.Errorf("slot %q migrated as all zeros; velocity state was lost", name)
+			t.Errorf("slot %q migrated as all zeros; its state was lost", name)
 		}
 	}
 }

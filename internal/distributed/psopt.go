@@ -2,7 +2,6 @@ package distributed
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/ops"
@@ -15,60 +14,17 @@ import (
 // sync training, with the barrier moved from the chief to the shard).
 // Workers push raw gradients — dense tensors or sparse (indices, values)
 // pairs — tagged with an absolute round number; the shard accumulates one
-// round's contributions, applies the configured rule once m fresh
-// contributions arrive (m-of-n backup-worker semantics, Figure 4c), and
-// releases every pusher blocked on that round. Rounds at or below the last
-// applied round acknowledge immediately, which is what makes the RPC
-// idempotent under retransmits, duplicates and lost responses.
-
-// UpdateRule is the serializable optimizer spec a worker ships to the
-// shard. Algo selects the rule; the scalar fields parameterize it. The
-// shard instantiates slot state (momentum/adagrad accumulators) lazily next
-// to the variable, under the slot-variable names the client's graph also
-// declares, so checkpoints and restores see one namespace.
-type UpdateRule struct {
-	Algo         string // "sgd", "momentum", "adagrad"
-	LearningRate float64
-	Decay        float64 // momentum coefficient (momentum only)
-	InitialAccum float64 // adagrad accumulator init (0 means 0.1)
-}
-
-// Validate checks the rule is one the PS knows how to apply.
-func (r UpdateRule) Validate() error {
-	switch r.Algo {
-	case "sgd", "momentum", "adagrad":
-		return nil
-	}
-	return fmt.Errorf("distributed: unknown update rule %q", r.Algo)
-}
-
-// SlotName returns the slot-variable suffix the rule needs, or "" for
-// stateless rules. Matches tf/train's slot naming (<var>/<slot>).
-func (r UpdateRule) SlotName() string {
-	switch r.Algo {
-	case "momentum":
-		return "momentum"
-	case "adagrad":
-		return "adagrad"
-	}
-	return ""
-}
-
-// SlotFill is the value a fresh slot row starts from.
-func (r UpdateRule) SlotFill() float64 {
-	if r.Algo == "adagrad" {
-		if r.InitialAccum != 0 {
-			return r.InitialAccum
-		}
-		return 0.1
-	}
-	return 0
-}
+// round's contributions, applies the configured rule (the routine behind
+// the graph's Apply<Rule> training ops) once m fresh contributions arrive
+// (m-of-n backup-worker semantics, Figure 4c), and releases every pusher
+// blocked on that round. Rounds at or below the last applied round
+// acknowledge immediately, which is what makes the RPC idempotent under
+// retransmits, duplicates and lost responses.
 
 // psRound accumulates one round's gradient contributions on a shard.
 type psRound struct {
 	contrib  map[string]bool // origin task → contributed (dedup)
-	rule     UpdateRule
+	rule     ops.UpdateRule
 	numFresh int
 	stepName string
 	// dense sums, by variable name.
@@ -283,21 +239,52 @@ func (a *psAggregator) applyLocked(res ResourceHolder, round int64, rd *psRound)
 	return nil
 }
 
-// applyRound runs the update rule for every variable in the round.
+// applyRound runs the update rule on every variable in the round, through
+// the same kernels the graph's training ops use. Round k is the rule's
+// (k+1)-th update, which is Adam's bias-correction step.
 func applyRound(res ResourceHolder, round int64, rd *psRound) error {
 	m := float64(rd.numFresh)
+	step := round + 1
 	for name, sum := range rd.dense {
-		mean := make([]float64, sum.NumElements())
-		for i := range mean {
-			mean[i] = sum.FloatAt(i) / m
-		}
-		if err := applyDense(res, rd.rule, name, mean); err != nil {
+		v, slots, err := stateFor(res, rd.rule, name)
+		if err != nil {
 			return err
+		}
+		mean := tensor.New(v.DType(), sum.Shape())
+		for i := range mean.NumElements() {
+			mean.SetFloat(i, sum.FloatAt(i)/m)
+		}
+		if err := rd.rule.Apply(step, v, slots, nil, mean); err != nil {
+			return fmt.Errorf("distributed: applying %q: %w", name, err)
 		}
 	}
 	for name, rows := range rd.sparse {
-		if err := applySparse(res, rd.rule, name, rows, m); err != nil {
+		v, slots, err := stateFor(res, rd.rule, name)
+		if err != nil {
 			return err
+		}
+		width := rd.rowWidth[name]
+		indices := tensor.New(tensor.Int64, tensor.Shape{len(rows)})
+		values := tensor.New(v.DType(), tensor.Shape{len(rows), width})
+		k := 0
+		for row, sum := range rows {
+			indices.Int64s()[k] = int64(row)
+			for j, s := range sum {
+				values.SetFloat(k*width+j, s/m)
+			}
+			k++
+		}
+		if !rd.rule.HasSparse() {
+			// The rule has no row-sparse form: apply it to the densified
+			// mean, as a single session applies a densified gradient.
+			dense := tensor.New(v.DType(), v.Shape())
+			if err := tensor.ScatterAddInPlace(dense, indices, values); err != nil {
+				return fmt.Errorf("distributed: sparse push for %q: %w", name, err)
+			}
+			indices, values = nil, dense
+		}
+		if err := rd.rule.Apply(step, v, slots, indices, values); err != nil {
+			return fmt.Errorf("distributed: applying %q: %w", name, err)
 		}
 	}
 	if rd.stepName != "" {
@@ -311,169 +298,23 @@ func applyRound(res ResourceHolder, round int64, rd *psRound) error {
 	return nil
 }
 
-// slotFor locates (and lazily initializes) the rule's slot variable for a
-// model variable. Caller guarantees the model variable is initialized.
-func slotFor(res ResourceHolder, rule UpdateRule, v *ops.Variable, name string) (*ops.Variable, error) {
-	slot := res.FindOrCreateVariable(name+"/"+rule.SlotName(), v.DType(), v.Shape())
-	if !slot.Initialized() {
-		init := tensor.New(v.DType(), v.Shape())
-		if fill := rule.SlotFill(); fill != 0 {
-			for i, n := 0, init.NumElements(); i < n; i++ {
-				init.SetFloat(i, fill)
-			}
-		}
-		if err := slot.Assign(init); err != nil {
-			return nil, err
-		}
-	}
-	return slot, nil
-}
-
-// rounder mirrors the elementwise kernels' precision: graph ops on float32
-// tensors compute in float64 and round the result to float32 per op, so
-// the PS-side apply rounds at the same op boundaries and produces the same
-// parameters a chief-apply graph would, bit for bit. Other dtypes keep
-// full float64 arithmetic.
-func rounder(dt tensor.DType) func(float64) float64 {
-	if dt == tensor.Float32 {
-		return func(x float64) float64 { return float64(float32(x)) }
-	}
-	return func(x float64) float64 { return x }
-}
-
-// applyDense applies the rule to a whole variable from its mean gradient.
-func applyDense(res ResourceHolder, rule UpdateRule, name string, mean []float64) error {
+// stateFor locates a pushed variable and its rule's slot variables, lazily
+// initializing the slots under the names the client's graph also declares,
+// so checkpoints and restores see one namespace.
+func stateFor(res ResourceHolder, rule ops.UpdateRule, name string) (*ops.Variable, []*ops.Variable, error) {
 	v := res.FindOrCreateVariable(name, tensor.Float32, nil)
 	if !v.Initialized() {
-		return fmt.Errorf("distributed: push for uninitialized variable %q", name)
+		return nil, nil, fmt.Errorf("distributed: push for uninitialized variable %q", name)
 	}
-	lr := rule.LearningRate
-	rnd := rounder(v.DType())
-	// The aggregated mean crosses into the update rule at tensor precision
-	// (chief-apply feeds it as a tensor).
-	mg := make([]float64, len(mean))
-	for i, m := range mean {
-		mg[i] = rnd(m)
+	var slots []*ops.Variable
+	for _, slotName := range rule.Slots() {
+		slot := res.FindOrCreateVariable(name+"/"+slotName, v.DType(), v.Shape())
+		if !slot.Initialized() {
+			if err := slot.Assign(tensor.Fill(v.DType(), v.Shape(), rule.SlotFill())); err != nil {
+				return nil, nil, err
+			}
+		}
+		slots = append(slots, slot)
 	}
-	switch rule.Algo {
-	case "sgd":
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				step := rnd(mg[i] * lr)
-				cur.SetFloat(i, cur.FloatAt(i)-step)
-			}
-			return cur, nil
-		})
-	case "momentum":
-		vel, err := slotFor(res, rule, v, name)
-		if err != nil {
-			return err
-		}
-		newVel := make([]float64, len(mg))
-		if err := vel.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				decayed := rnd(cur.FloatAt(i) * rule.Decay)
-				newVel[i] = rnd(decayed + mg[i])
-				cur.SetFloat(i, newVel[i])
-			}
-			return cur, nil
-		}); err != nil {
-			return err
-		}
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range newVel {
-				step := rnd(newVel[i] * lr)
-				cur.SetFloat(i, cur.FloatAt(i)-step)
-			}
-			return cur, nil
-		})
-	case "adagrad":
-		acc, err := slotFor(res, rule, v, name)
-		if err != nil {
-			return err
-		}
-		newAcc := make([]float64, len(mg))
-		if err := acc.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				sq := rnd(mg[i] * mg[i])
-				newAcc[i] = rnd(cur.FloatAt(i) + sq)
-				cur.SetFloat(i, newAcc[i])
-			}
-			return cur, nil
-		}); err != nil {
-			return err
-		}
-		return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-			for i := range mg {
-				num := rnd(mg[i] * lr)
-				den := rnd(math.Sqrt(newAcc[i]))
-				cur.SetFloat(i, cur.FloatAt(i)-rnd(num/den))
-			}
-			return cur, nil
-		})
-	}
-	return fmt.Errorf("distributed: unknown update rule %q", rule.Algo)
-}
-
-// applySparse applies the rule to just the touched rows of an embedding
-// variable (the "lazy" sparse semantics of tf/train's sparse optimizer
-// paths: untouched rows keep their parameters and slot state unchanged).
-func applySparse(res ResourceHolder, rule UpdateRule, name string, rows map[int][]float64, m float64) error {
-	v := res.FindOrCreateVariable(name, tensor.Float32, nil)
-	if !v.Initialized() {
-		return fmt.Errorf("distributed: push for uninitialized variable %q", name)
-	}
-	lr := rule.LearningRate
-	var slot *ops.Variable
-	if rule.SlotName() != "" {
-		var err error
-		if slot, err = slotFor(res, rule, v, name); err != nil {
-			return err
-		}
-	}
-	rnd := rounder(v.DType())
-	return v.Update(func(cur *tensor.Tensor) (*tensor.Tensor, error) {
-		width := 1
-		if sh := cur.Shape(); len(sh) > 1 {
-			width = sh[1:].NumElements()
-		}
-		for row, sum := range rows {
-			if row < 0 || (row+1)*width > cur.NumElements() {
-				return nil, fmt.Errorf("distributed: sparse push row %d out of range for %q", row, name)
-			}
-			base := row * width
-			switch rule.Algo {
-			case "sgd":
-				for j, s := range sum {
-					step := rnd(rnd(s/m) * lr)
-					cur.SetFloat(base+j, cur.FloatAt(base+j)-step)
-				}
-			case "momentum":
-				if err := slot.Update(func(vel *tensor.Tensor) (*tensor.Tensor, error) {
-					for j, s := range sum {
-						decayed := rnd(vel.FloatAt(base+j) * rule.Decay)
-						nv := rnd(decayed + rnd(s/m))
-						vel.SetFloat(base+j, nv)
-						cur.SetFloat(base+j, cur.FloatAt(base+j)-rnd(nv*lr))
-					}
-					return vel, nil
-				}); err != nil {
-					return nil, err
-				}
-			case "adagrad":
-				if err := slot.Update(func(acc *tensor.Tensor) (*tensor.Tensor, error) {
-					for j, s := range sum {
-						g := rnd(s / m)
-						na := rnd(acc.FloatAt(base+j) + rnd(g*g))
-						acc.SetFloat(base+j, na)
-						cur.SetFloat(base+j, cur.FloatAt(base+j)-rnd(rnd(g*lr)/rnd(math.Sqrt(na))))
-					}
-					return acc, nil
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return cur, nil
-	})
+	return v, slots, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -35,7 +36,7 @@ func sgdPush(origin string, round int64, numFresh int, g0, g1 float32) *PushGrad
 		Origin:   origin,
 		Round:    round,
 		NumFresh: numFresh,
-		Rule:     UpdateRule{Algo: "sgd", LearningRate: 1},
+		Rule:     ops.UpdateRule{Algo: "sgd", LearningRate: 1},
 		Grads: []GradientPush{{
 			Name:  "w",
 			Dense: tensor.FromFloat32s(tensor.Shape{2}, []float32{g0, g1}),

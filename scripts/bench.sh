@@ -33,7 +33,6 @@ awk -v benchtime="$BENCHTIME" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
   /^BenchmarkWhileTrainingStep/ { while_ns = $3 }
   /^BenchmarkDistributedStep/ { dist_ns = $3 }
   /^BenchmarkReplicatedTrainingStep/ { repl_ns = $3 }
-  /^BenchmarkPSApplySyncStep\/chief-apply/                 { sync_chief_ns = $3 }
   /^BenchmarkPSApplySyncStep\/ps-apply-sparse/              { sync_sparse_ns = $3 }
   /^BenchmarkPSApplySyncStep\/ps-apply/ && !/ps-apply-sparse/ { sync_ps_ns = $3 }
   /^BenchmarkMatMul\/256x256/ {
@@ -85,7 +84,6 @@ awk -v benchtime="$BENCHTIME" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
     if (while_ns != "") lines[n++] = sprintf("  \"while_training_step_ns\": %s", while_ns)
     if (dist_ns != "")  lines[n++] = sprintf("  \"distributed_step_ns\": %s", dist_ns)
     if (repl_ns != "")  lines[n++] = sprintf("  \"replicated_training_step_ns\": %s", repl_ns)
-    if (sync_chief_ns != "")  lines[n++] = sprintf("  \"sync_step_chief_apply_ns\": %s", sync_chief_ns)
     if (sync_ps_ns != "")     lines[n++] = sprintf("  \"sync_step_ps_apply_ns\": %s", sync_ps_ns)
     if (sync_sparse_ns != "") lines[n++] = sprintf("  \"sync_step_ps_apply_sparse_ns\": %s", sync_sparse_ns)
     if (gflops != "")   lines[n++] = sprintf("  \"matmul_256x256_gflops\": %s", gflops)

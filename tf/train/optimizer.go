@@ -1,6 +1,6 @@
 // Package train implements the training utilities of the paper as
 // user-level graph code: optimization algorithms built from Variables and
-// primitive operations (§4.1) — the exact capability that required C++
+// training ops (§4.1) — the exact capability that required C++
 // parameter-server changes in DistBelief — plus checkpointing (§4.3),
 // input-pipeline coordination, and the synchronous replication schemes with
 // backup workers of §4.4.
@@ -9,7 +9,7 @@ package train
 import (
 	"fmt"
 
-	"repro/internal/distributed"
+	"repro/internal/ops"
 	"repro/tf"
 )
 
@@ -26,35 +26,17 @@ type Optimizer interface {
 	ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error)
 }
 
-// UpdateRuler is implemented by optimizers whose update rule can be
-// serialized and shipped to a parameter-server shard, splitting the
-// optimizer into a worker-side gradient computation and a PS-side apply
-// (the parameter-server design of the preliminary whitepaper; §4.4 moves
-// the sync barrier to the shard with it). Optimizers without a rule —
-// Adam, RMSProp, Adadelta — fall back to chief-side apply.
+// UpdateRuler is implemented by optimizers whose update rule is one of the
+// built-in training kernels, so it can be serialized and shipped to a
+// parameter-server shard: the optimizer splits into a worker-side gradient
+// computation and a shard-side apply that runs the same kernel next to the
+// variables (the parameter-server design of the preliminary whitepaper;
+// §4.4 moves the sync barrier to the shard with it). Every built-in
+// optimizer implements it, and synchronous replicated training requires it.
 type UpdateRuler interface {
-	// UpdateRule returns the serializable spec and true, or ok=false when
-	// the optimizer cannot be applied PS-side.
-	UpdateRule() (distributed.UpdateRule, bool)
-}
-
-// UpdateRule implements UpdateRuler.
-func (o *GradientDescent) UpdateRule() (distributed.UpdateRule, bool) {
-	return distributed.UpdateRule{Algo: "sgd", LearningRate: o.LearningRate}, true
-}
-
-// UpdateRule implements UpdateRuler.
-func (o *Momentum) UpdateRule() (distributed.UpdateRule, bool) {
-	return distributed.UpdateRule{Algo: "momentum", LearningRate: o.LearningRate, Decay: o.Decay}, true
-}
-
-// UpdateRule implements UpdateRuler.
-func (o *Adagrad) UpdateRule() (distributed.UpdateRule, bool) {
-	accInit := o.InitialAccum
-	if accInit <= 0 {
-		accInit = 0.1
-	}
-	return distributed.UpdateRule{Algo: "adagrad", LearningRate: o.LearningRate, InitialAccum: accInit}, true
+	// UpdateRule returns the optimizer's serializable rule, defaults
+	// applied.
+	UpdateRule() ops.UpdateRule
 }
 
 // minimize is the shared Minimize-via-ApplyGradients implementation.
@@ -70,14 +52,64 @@ func minimize(o Optimizer, g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*t
 	return o.ApplyGradients(g, grads, vars)
 }
 
+// applyRule emits one training op per variable: SparseApply<Rule> on an
+// (indices, values) gradient when the rule has a sparse form, touching only
+// the gathered rows (§4.2), and Apply<Rule> on the dense (or densified)
+// gradient otherwise. The rule's slot variables are created next to each
+// variable.
+func applyRule(g *tf.Graph, rule ops.UpdateRule, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
+	if len(grads) != len(vars) {
+		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
+	}
+	var step tf.Output
+	if rule.Algo == "adam" {
+		// Shared timestep driving the bias correction: the AssignAdd
+		// forwards the incremented value, so the first run applies t = 1.
+		t := g.NewVariableFromTensor("train/adam_t", scalarOf(tf.Float32, 0))
+		step = t.AssignAdd(g.Const(float32(1))).Output(0)
+	}
+	var updates []*tf.Operation
+	for i, grad := range grads {
+		v := vars[i]
+		if grad.IsZero() {
+			continue
+		}
+		// Inputs: the reference edges of v and its slots, then the
+		// gradient (and Adam's step).
+		ins := []tf.Output{v.Ref()}
+		for _, name := range rule.Slots() {
+			ins = append(ins, slotVar(g, v, name, rule.SlotFill()).Ref())
+		}
+		sparse := grad.Sparse != nil && rule.HasSparse()
+		if sparse {
+			ins = append(ins, grad.Sparse.Indices, grad.Sparse.Values)
+		} else {
+			dense, err := g.DensifyGradient(grad)
+			if err != nil {
+				return nil, err
+			}
+			ins = append(ins, dense)
+		}
+		if step.Valid() {
+			ins = append(ins, step)
+		}
+		// The reference edges place the op with v; the caller's device
+		// scope is cleared so it cannot conflict.
+		op := g.WithDevice("").BuildOp(rule.OpType(sparse), "", rule.Attrs(), ins...)
+		updates = append(updates, op)
+	}
+	op := g.Group("train/"+rule.Algo, updates...)
+	return op, g.Err()
+}
+
 // slotVar creates an accumulator variable shadowing v (e.g. the Momentum
 // "velocity"), initialized to a constant fill. The paper uses exactly this
 // pattern to show optimizers need no privileged runtime support (§4.1).
 // The slot is colocated with v, so in a parameter-server placement the
 // optimizer state lives on the same task as the parameters it adapts
 // (§3.3, §4.1). The colocation must win over any ambient device scope the
-// caller's view carries (e.g. an apply graph scoped to one PS task), so the
-// scope is cleared before the hint is attached.
+// caller's view carries, so the scope is cleared before the hint is
+// attached.
 func slotVar(g *tf.Graph, v *tf.Variable, slot string, fill float64) *tf.Variable {
 	gc := g.WithDevice("").ColocateWith(v.Ref().Op())
 	init := gc.Const(mustFill(v.DType(), v.Shape(), fill))
@@ -94,11 +126,22 @@ func mustFill(dt tf.DType, shape tf.Shape, fill float64) *tf.Tensor {
 	return t
 }
 
+func scalarOf(dt tf.DType, v float64) *tf.Tensor {
+	t := tf.NewTensor(dt, tf.Shape{})
+	t.SetFloat(0, v)
+	return t
+}
+
 // GradientDescent is plain SGD: W ← W − α·∂L/∂W, expressible as a single
-// specialized write (§4.1). Sparse gradients apply as ScatterSub updates
-// touching only the gathered rows (§4.2).
+// specialized write (§4.1). Sparse gradients update only the gathered rows
+// (§4.2).
 type GradientDescent struct {
 	LearningRate float64
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *GradientDescent) UpdateRule() ops.UpdateRule {
+	return ops.UpdateRule{Algo: "sgd", LearningRate: o.LearningRate}
 }
 
 // Minimize implements Optimizer.
@@ -108,41 +151,24 @@ func (o *GradientDescent) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Varia
 
 // ApplyGradients implements Optimizer.
 func (o *GradientDescent) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		switch {
-		case grad.IsZero():
-			continue
-		case grad.Sparse != nil:
-			lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-			scaled := g.Mul(grad.Sparse.Values, lr)
-			updates = append(updates, v.ScatterSub(grad.Sparse.Indices, scaled))
-		default:
-			lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-			updates = append(updates, v.AssignSub(g.Mul(grad.Dense, lr)))
-		}
-	}
-	op := g.Group("train/sgd", updates...)
-	return op, g.Err()
-}
-
-func scalarOf(dt tf.DType, v float64) *tf.Tensor {
-	t := tf.NewTensor(dt, tf.Shape{})
-	t.SetFloat(0, v)
-	return t
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // Momentum implements the momentum method (§4.1's motivating example of an
 // optimizer that a plain parameter server cannot express as one write):
 //
 //	vel ← μ·vel + ∂L/∂W;  W ← W − α·vel
+//
+// Sparse gradients decay and update only the gathered velocity rows; the
+// other rows keep their parameters and slot state.
 type Momentum struct {
 	LearningRate float64
 	Decay        float64 // μ, typically 0.9
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Momentum) UpdateRule() ops.UpdateRule {
+	return ops.UpdateRule{Algo: "momentum", LearningRate: o.LearningRate, Decay: o.Decay}
 }
 
 // Minimize implements Optimizer.
@@ -152,45 +178,23 @@ func (o *Momentum) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*
 
 // ApplyGradients implements Optimizer.
 func (o *Momentum) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		vel := slotVar(g, v, "momentum", 0)
-		mu := g.Const(scalarOf(v.DType(), o.Decay))
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		if sp := grad.Sparse; sp != nil {
-			// Sparse ("lazy") path: decay and update only the touched
-			// velocity rows, leaving untouched rows — parameters and slot
-			// state alike — exactly as they were (§4.2). Like Adagrad's
-			// sparse path, repeated indices within one gradient see the
-			// same pre-update velocity rows.
-			gathered := vel.GatherRows(sp.Indices)
-			newVelRows := g.Add(g.Mul(gathered, mu), sp.Values)
-			setVel := vel.ScatterAdd(sp.Indices, g.Sub(newVelRows, gathered))
-			step := g.Mul(g.IdentityWithControl(newVelRows, setVel), lr)
-			updates = append(updates, v.ScatterSub(sp.Indices, step))
-			continue
-		}
-		newVel := g.Add(g.Mul(vel.Value(), mu), grad.Dense)
-		setVel := vel.Assign(newVel)
-		step := g.Mul(g.IdentityWithControl(newVel, setVel), lr)
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/momentum", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // Adagrad adapts per-parameter learning rates by accumulated squared
 // gradients. Sparse gradients update only the touched accumulator rows.
 type Adagrad struct {
 	LearningRate float64
-	InitialAccum float64 // typically 0.1
+	InitialAccum float64 // typically 0.1 (the default)
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Adagrad) UpdateRule() ops.UpdateRule {
+	accInit := o.InitialAccum
+	if accInit <= 0 {
+		accInit = 0.1
+	}
+	return ops.UpdateRule{Algo: "adagrad", LearningRate: o.LearningRate, InitialAccum: accInit}
 }
 
 // Minimize implements Optimizer.
@@ -200,45 +204,23 @@ func (o *Adagrad) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*t
 
 // ApplyGradients implements Optimizer.
 func (o *Adagrad) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	accInit := o.InitialAccum
-	if accInit <= 0 {
-		accInit = 0.1
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		acc := slotVar(g, v, "adagrad", accInit)
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		if sp := grad.Sparse; sp != nil {
-			// Sparse path: accumulate g² into the touched rows, then
-			// scatter the scaled update (§4.2).
-			sq := g.Square(sp.Values)
-			accUp := acc.ScatterAdd(sp.Indices, sq)
-			accRows := g.IdentityWithControl(acc.GatherRows(sp.Indices), accUp)
-			step := g.Div(g.Mul(sp.Values, lr), g.Sqrt(accRows))
-			updates = append(updates, v.ScatterSub(sp.Indices, step))
-			continue
-		}
-		newAcc := g.Add(acc.Value(), g.Square(grad.Dense))
-		setAcc := acc.Assign(newAcc)
-		step := g.Div(g.Mul(grad.Dense, lr), g.Sqrt(g.IdentityWithControl(newAcc, setAcc)))
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/adagrad", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // RMSProp keeps an exponentially decayed mean of squared gradients.
 type RMSProp struct {
 	LearningRate float64
 	Decay        float64 // typically 0.9
-	Epsilon      float64 // typically 1e-8
+	Epsilon      float64 // typically 1e-8 (the default)
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *RMSProp) UpdateRule() ops.UpdateRule {
+	eps := o.Epsilon
+	if eps <= 0 {
+		eps = 1e-8
+	}
+	return ops.UpdateRule{Algo: "rmsprop", LearningRate: o.LearningRate, Decay: o.Decay, Epsilon: eps}
 }
 
 // Minimize implements Optimizer.
@@ -248,42 +230,27 @@ func (o *RMSProp) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*t
 
 // ApplyGradients implements Optimizer.
 func (o *RMSProp) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	eps := o.Epsilon
-	if eps <= 0 {
-		eps = 1e-8
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		dense, err := g.DensifyGradient(grad)
-		if err != nil {
-			return nil, err
-		}
-		ms := slotVar(g, v, "rms", 0)
-		decay := g.Const(scalarOf(v.DType(), o.Decay))
-		oneMinus := g.Const(scalarOf(v.DType(), 1-o.Decay))
-		newMS := g.Add(g.Mul(ms.Value(), decay), g.Mul(g.Square(dense), oneMinus))
-		setMS := ms.Assign(newMS)
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		denom := g.Sqrt(g.Add(g.IdentityWithControl(newMS, setMS), g.Const(scalarOf(v.DType(), eps))))
-		updates = append(updates, v.AssignSub(g.Div(g.Mul(dense, lr), denom)))
-	}
-	op := g.Group("train/rmsprop", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // Adadelta is RMSProp with a second accumulator of squared updates,
 // removing the global learning rate's units.
 type Adadelta struct {
-	LearningRate float64 // typically 1.0
+	LearningRate float64 // typically 1.0 (the default)
 	Rho          float64 // typically 0.95
-	Epsilon      float64 // typically 1e-6
+	Epsilon      float64 // typically 1e-6 (the default)
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Adadelta) UpdateRule() ops.UpdateRule {
+	lr, eps := o.LearningRate, o.Epsilon
+	if lr == 0 {
+		lr = 1
+	}
+	if eps <= 0 {
+		eps = 1e-6
+	}
+	return ops.UpdateRule{Algo: "adadelta", LearningRate: lr, Decay: o.Rho, Epsilon: eps}
 }
 
 // Minimize implements Optimizer.
@@ -293,53 +260,32 @@ func (o *Adadelta) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*
 
 // ApplyGradients implements Optimizer.
 func (o *Adadelta) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	eps := o.Epsilon
-	if eps <= 0 {
-		eps = 1e-6
-	}
-	lrv := o.LearningRate
-	if lrv == 0 {
-		lrv = 1
-	}
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		dense, err := g.DensifyGradient(grad)
-		if err != nil {
-			return nil, err
-		}
-		accG := slotVar(g, v, "adadelta_g", 0)
-		accX := slotVar(g, v, "adadelta_x", 0)
-		rho := g.Const(scalarOf(v.DType(), o.Rho))
-		oneMinus := g.Const(scalarOf(v.DType(), 1-o.Rho))
-		epsC := g.Const(scalarOf(v.DType(), eps))
-
-		newAccG := g.Add(g.Mul(accG.Value(), rho), g.Mul(g.Square(dense), oneMinus))
-		setAccG := accG.Assign(newAccG)
-		rms := func(x tf.Output) tf.Output { return g.Sqrt(g.Add(x, epsC)) }
-		update := g.Div(g.Mul(rms(accX.Value()), dense), rms(g.IdentityWithControl(newAccG, setAccG)))
-		newAccX := g.Add(g.Mul(accX.Value(), rho), g.Mul(g.Square(update), oneMinus))
-		setAccX := accX.Assign(newAccX)
-		lr := g.Const(scalarOf(v.DType(), lrv))
-		step := g.Mul(g.IdentityWithControl(update, setAccX), lr)
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/adadelta", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // Adam combines first- and second-moment estimates with bias correction.
+// The graph counts updates in the variable "train/adam_t"; a PS shard uses
+// the round number instead (round k applies t = k+1).
 type Adam struct {
 	LearningRate float64 // typically 1e-3
-	Beta1        float64 // typically 0.9
-	Beta2        float64 // typically 0.999
-	Epsilon      float64 // typically 1e-8
+	Beta1        float64 // typically 0.9 (the default)
+	Beta2        float64 // typically 0.999 (the default)
+	Epsilon      float64 // typically 1e-8 (the default)
+}
+
+// UpdateRule implements UpdateRuler.
+func (o *Adam) UpdateRule() ops.UpdateRule {
+	beta1, beta2, eps := o.Beta1, o.Beta2, o.Epsilon
+	if beta1 == 0 {
+		beta1 = 0.9
+	}
+	if beta2 == 0 {
+		beta2 = 0.999
+	}
+	if eps <= 0 {
+		eps = 1e-8
+	}
+	return ops.UpdateRule{Algo: "adam", LearningRate: o.LearningRate, Decay: beta1, Decay2: beta2, Epsilon: eps}
 }
 
 // Minimize implements Optimizer.
@@ -349,55 +295,7 @@ func (o *Adam) Minimize(g *tf.Graph, loss tf.Output, vars []*tf.Variable) (*tf.O
 
 // ApplyGradients implements Optimizer.
 func (o *Adam) ApplyGradients(g *tf.Graph, grads []tf.Gradient, vars []*tf.Variable) (*tf.Operation, error) {
-	if len(grads) != len(vars) {
-		return nil, fmt.Errorf("train: %d gradients for %d variables", len(grads), len(vars))
-	}
-	beta1, beta2 := o.Beta1, o.Beta2
-	if beta1 == 0 {
-		beta1 = 0.9
-	}
-	if beta2 == 0 {
-		beta2 = 0.999
-	}
-	eps := o.Epsilon
-	if eps <= 0 {
-		eps = 1e-8
-	}
-	// Shared timestep drives the bias correction.
-	t := g.NewVariableFromTensor("train/adam_t", scalarOf(tf.Float32, 0))
-	tUp := t.AssignAdd(g.Const(float32(1)))
-	tNow := g.IdentityWithControl(t.Value(), tUp)
-	b1 := g.Const(float32(beta1))
-	b2 := g.Const(float32(beta2))
-	corr1 := g.Sub(g.Const(float32(1)), g.Pow(b1, tNow))
-	corr2 := g.Sub(g.Const(float32(1)), g.Pow(b2, tNow))
-
-	var updates []*tf.Operation
-	for i, grad := range grads {
-		v := vars[i]
-		if grad.IsZero() {
-			continue
-		}
-		dense, err := g.DensifyGradient(grad)
-		if err != nil {
-			return nil, err
-		}
-		m := slotVar(g, v, "adam_m", 0)
-		vv := slotVar(g, v, "adam_v", 0)
-		oneMinusB1 := g.Const(scalarOf(v.DType(), 1-beta1))
-		oneMinusB2 := g.Const(scalarOf(v.DType(), 1-beta2))
-		newM := g.Add(g.Mul(m.Value(), b1), g.Mul(dense, oneMinusB1))
-		newV := g.Add(g.Mul(vv.Value(), b2), g.Mul(g.Square(dense), oneMinusB2))
-		setM := m.Assign(newM)
-		setV := vv.Assign(newV)
-		mHat := g.Div(g.IdentityWithControl(newM, setM), corr1)
-		vHat := g.Div(g.IdentityWithControl(newV, setV), corr2)
-		lr := g.Const(scalarOf(v.DType(), o.LearningRate))
-		step := g.Div(g.Mul(mHat, lr), g.Add(g.Sqrt(vHat), g.Const(scalarOf(v.DType(), eps))))
-		updates = append(updates, v.AssignSub(step))
-	}
-	op := g.Group("train/adam", updates...)
-	return op, g.Err()
+	return applyRule(g, o.UpdateRule(), grads, vars)
 }
 
 // ClipByGlobalNorm rescales dense gradients so their joint L2 norm is at

@@ -1,15 +1,18 @@
 package train
 
-// PR 10 test battery: gradients are pushed to the owning PS shard and
-// applied there (PS-apply). The contract is behavioral equivalence with the
-// legacy chief-apply path — same per-step losses, same parameters — while
-// the traffic shape changes: the chief's RunGraph feeds stop carrying
-// gradient tensors (they ride PushGradients instead), and sparse embedding
+// PS-apply test battery: in sync training, gradients are pushed to the
+// owning PS shard and applied there. The contract is equivalence with a
+// single session that applies the replicas' mean gradient through the
+// optimizer's graph ops — same per-step losses, same parameters and slot
+// state — while the traffic shape stays lean: the chief's RunGraph feeds
+// carry no gradient tensors (they ride PushGradients), and sparse embedding
 // gradients push only the gathered rows.
 
 import (
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,81 +79,251 @@ func runSyncReplicated(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	return losses, state
 }
 
-// TestPSApplyModeSelection pins when the shard-apply path engages: sync
-// training with a rule-expressible optimizer, unless the caller forces
-// ChiefApply. Optimizers without a serializable update rule keep the
-// legacy chief path.
+// runSingleSession is the reference the PS-apply tests compare against. One
+// local session holds the model; each round it computes every worker's loss
+// and gradient against the same parameters and feeds their mean to the
+// optimizer's ApplyGradients, which is the update one sync round must make.
+// Sparse gradients stay sparse (unique rows, mean values), as on the wire.
+// It returns per-worker per-round losses and the final values of the model
+// variables and their slots.
+func runSingleSession(t *testing.T, opt Optimizer, model ModelFn,
+	feeds func(wi, s int) map[string]*tf.Tensor, workers, rounds int,
+) ([][]float64, map[string]*tf.Tensor) {
+	t.Helper()
+	g := tf.NewGraph()
+	rb := &ReplicaGraph{Graph: g, root: g, psTasks: []string{""}}
+	m, err := model(rb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]tf.Output, len(rb.vars))
+	for i, v := range rb.vars {
+		xs[i] = v.Value()
+	}
+	grads, err := g.Gradients([]tf.Output{m.Loss}, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := []tf.Output{m.Loss}
+	meanGrads := make([]tf.Gradient, len(grads))
+	for i, gr := range grads {
+		v := rb.vars[i]
+		if gr.Sparse != nil {
+			fetches = append(fetches, gr.Sparse.Indices, gr.Sparse.Values)
+			meanGrads[i] = tf.Gradient{Sparse: &tf.IndexedSlices{
+				Indices: g.Placeholder(fmt.Sprintf("mean_indices_%d", i), tf.Int32, tf.Shape{-1}),
+				Values:  g.Placeholder(fmt.Sprintf("mean_values_%d", i), v.DType(), append(tf.Shape{-1}, v.Shape()[1:]...)),
+				NumRows: gr.Sparse.NumRows,
+			}}
+			continue
+		}
+		fetches = append(fetches, gr.Dense)
+		meanGrads[i] = tf.Gradient{Dense: g.Placeholder(fmt.Sprintf("mean_grad_%d", i), v.DType(), v.Shape())}
+	}
+	applyOp, err := opt.ApplyGradients(g, meanGrads, rb.vars)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, v := range rb.vars {
+		names = append(names, v.Name())
+		for _, slot := range opt.(UpdateRuler).UpdateRule().Slots() {
+			names = append(names, v.Name()+"/"+slot)
+		}
+	}
+	reads := make([]tf.Output, len(names))
+	for i, name := range names {
+		reads[i] = g.BuildOp("Read", name+"/final", nil, g.WrapOutput(g.Raw().ByName(name).Out(0))).Output(0)
+	}
+	sess, err := tf.NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.RunTargets(g.InitOp()); err != nil {
+		t.Fatal(err)
+	}
+
+	losses := make([][]float64, workers)
+	for wi := range losses {
+		losses[wi] = make([]float64, rounds)
+	}
+	for s := 0; s < rounds; s++ {
+		// Per variable: summed dense gradient, or summed rows by index.
+		dense := make([][]float64, len(grads))
+		rows := make([]map[int][]float64, len(grads))
+		for wi := 0; wi < workers; wi++ {
+			f := map[tf.Output]*tf.Tensor{}
+			for name, val := range feeds(wi, s) {
+				f[m.Inputs[name]] = val
+			}
+			out, err := sess.Run(f, fetches)
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses[wi][s] = out[0].FloatAt(0)
+			pos := 1
+			for i, gr := range grads {
+				if gr.Sparse != nil {
+					idx, vals := out[pos], out[pos+1]
+					pos += 2
+					if rows[i] == nil {
+						rows[i] = map[int][]float64{}
+					}
+					width := vals.NumElements() / max(idx.NumElements(), 1)
+					for k := 0; k < idx.NumElements(); k++ {
+						sum := rows[i][idx.IntAt(k)]
+						if sum == nil {
+							sum = make([]float64, width)
+							rows[i][idx.IntAt(k)] = sum
+						}
+						for j := range sum {
+							sum[j] += vals.FloatAt(k*width + j)
+						}
+					}
+					continue
+				}
+				d := out[pos]
+				pos++
+				if dense[i] == nil {
+					dense[i] = make([]float64, d.NumElements())
+				}
+				for j := range dense[i] {
+					dense[i][j] += d.FloatAt(j)
+				}
+			}
+		}
+		f := map[tf.Output]*tf.Tensor{}
+		for i, gr := range meanGrads {
+			v := rb.vars[i]
+			if gr.Sparse == nil {
+				mean := tf.NewTensor(v.DType(), v.Shape())
+				for j, sum := range dense[i] {
+					mean.SetFloat(j, sum/float64(workers))
+				}
+				f[gr.Dense] = mean
+				continue
+			}
+			ids := make([]int, 0, len(rows[i]))
+			for id := range rows[i] {
+				ids = append(ids, id)
+			}
+			sort.Ints(ids)
+			width := v.Shape()[1:].NumElements()
+			idx := tf.NewTensor(tf.Int32, tf.Shape{len(ids)})
+			vals := tf.NewTensor(v.DType(), append(tf.Shape{len(ids)}, v.Shape()[1:]...))
+			for k, id := range ids {
+				idx.SetFloat(k, float64(id))
+				for j, sum := range rows[i][id] {
+					vals.SetFloat(k*width+j, sum/float64(workers))
+				}
+			}
+			f[gr.Sparse.Indices], f[gr.Sparse.Values] = idx, vals
+		}
+		if _, err := sess.Run(f, nil, applyOp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := sess.Run(nil, reads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]*tf.Tensor{}
+	for i, name := range names {
+		state[name] = out[i]
+	}
+	return losses, state
+}
+
+// checkSyncParity runs model through PS-apply sync training and through the
+// single-session reference, and requires the same losses, parameters and
+// slot state within tolerance.
+func checkSyncParity(t *testing.T, opt func() Optimizer, model ModelFn,
+	feeds func(wi, s int) map[string]*tf.Tensor, rounds int, tolerance float64,
+) {
+	t.Helper()
+	wantLosses, wantState := runSingleSession(t, opt(), model, feeds, 2, rounds)
+	psLosses, psState := runSyncReplicated(t, ReplicatedOptions{Optimizer: opt()}, model, feeds, 2, 2, rounds)
+	for wi := range wantLosses {
+		for s := range wantLosses[wi] {
+			want, got := wantLosses[wi][s], psLosses[wi][s]
+			if diff := math.Abs(got - want); !(diff <= tolerance*math.Max(1, math.Abs(want))) {
+				t.Errorf("worker %d round %d: ps-apply loss %.9f, single session %.9f", wi, s, got, want)
+			}
+		}
+	}
+	for name, want := range wantState {
+		got := psState[name]
+		if got == nil {
+			t.Errorf("ps-apply has no variable %q", name)
+			continue
+		}
+		for i := 0; i < want.NumElements(); i++ {
+			if diff := math.Abs(got.FloatAt(i) - want.FloatAt(i)); !(diff <= tolerance) {
+				t.Errorf("%s[%d]: ps-apply %.9f, single session %.9f", name, i, got.FloatAt(i), want.FloatAt(i))
+			}
+		}
+	}
+}
+
+// allOptimizers lists every built-in optimizer with hyperparameters that
+// train the test models stably.
+var allOptimizers = []struct {
+	name string
+	opt  func() Optimizer
+}{
+	{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
+	{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.02, Decay: 0.9} }},
+	{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.5} }},
+	{"rmsprop", func() Optimizer { return &RMSProp{LearningRate: 0.01, Decay: 0.9} }},
+	{"adadelta", func() Optimizer { return &Adadelta{LearningRate: 1, Rho: 0.95} }},
+	{"adam", func() Optimizer { return &Adam{LearningRate: 0.05} }},
+}
+
+// ruleless hides the wrapped optimizer's update rule: a custom optimizer
+// written as graph code only.
+type ruleless struct{ Optimizer }
+
+// TestPSApplyModeSelection pins which optimizers sync training accepts:
+// every built-in one (each has an update rule the shards can run), but not
+// an optimizer without a rule, which fails at construction. Async training
+// applies through the graph and takes any optimizer.
 func TestPSApplyModeSelection(t *testing.T) {
-	build := func(opts ReplicatedOptions) *Replicated {
+	build := func(opts ReplicatedOptions) error {
 		t.Helper()
 		spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, 1)}
 		cluster := distributed.NewInProcCluster(spec)
 		opts.Cluster = spec
 		opts.Resolver = cluster.Resolver()
 		r, err := NewReplicated(opts, repModel)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			r.Close()
 		}
-		t.Cleanup(r.Close)
-		return r
+		return err
 	}
-	if r := build(ReplicatedOptions{Sync: true, Optimizer: &GradientDescent{LearningRate: 0.1}}); !r.psApply {
-		t.Error("sync SGD should apply on the PS shards")
+	for _, tc := range allOptimizers {
+		if err := build(ReplicatedOptions{Sync: true, Optimizer: tc.opt()}); err != nil {
+			t.Errorf("sync %s: %v", tc.name, err)
+		}
 	}
-	if r := build(ReplicatedOptions{Sync: true, ChiefApply: true, Optimizer: &GradientDescent{LearningRate: 0.1}}); r.psApply {
-		t.Error("ChiefApply must force the legacy chief path")
+	custom := ruleless{&GradientDescent{LearningRate: 0.1}}
+	if err := build(ReplicatedOptions{Sync: true, Optimizer: custom}); err == nil || !strings.Contains(err.Error(), "UpdateRuler") {
+		t.Errorf("sync training with a rule-less optimizer: err = %v, want a constructor error naming UpdateRuler", err)
 	}
-	if r := build(ReplicatedOptions{Sync: true, Optimizer: &Adam{LearningRate: 0.1}}); r.psApply {
-		t.Error("Adam has no serializable update rule; it must use chief apply")
-	}
-	if r := build(ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}}); r.psApply {
-		t.Error("async training does not use the push-apply path")
+	if err := build(ReplicatedOptions{Optimizer: custom}); err != nil {
+		t.Errorf("async training with a rule-less optimizer: %v", err)
 	}
 }
 
-// TestPSApplySyncMatchesChiefApply is the PR 10 equivalence bar: for every
-// rule-expressible optimizer, applying on the PS shard must reproduce the
-// chief-apply losses and parameters — the PS-side apply engine mirrors the
-// graph kernels' float32 rounding, so the trajectories agree step for step.
+// TestPSApplySyncMatchesChiefApply: for every optimizer, applying on the PS
+// shards reproduces the single-session reference, where the replicas' mean
+// gradient goes through the optimizer's graph ops. Both run the same update
+// kernels, so the trajectories agree step for step.
 func TestPSApplySyncMatchesChiefApply(t *testing.T) {
-	const (
-		rounds    = 12
-		tolerance = 1e-6
-	)
 	feeds := func(wi, s int) map[string]*tf.Tensor { return repFeeds(int64(wi*1000 + s)) }
-	for _, tc := range []struct {
-		name string
-		opt  func() Optimizer
-	}{
-		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
-		{"momentum", func() Optimizer { return &Momentum{LearningRate: 0.02, Decay: 0.9} }},
-		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.5} }},
-	} {
+	for _, tc := range allOptimizers {
 		t.Run(tc.name, func(t *testing.T) {
-			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt(), ChiefApply: true}, repModel, feeds, 2, 2, rounds)
-			psLosses, psState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt()}, repModel, feeds, 2, 2, rounds)
-			for wi := range chiefLosses {
-				for s := range chiefLosses[wi] {
-					want, got := chiefLosses[wi][s], psLosses[wi][s]
-					if diff := math.Abs(got - want); diff > tolerance*math.Max(1, math.Abs(want)) {
-						t.Errorf("worker %d round %d: ps-apply loss %.9f, chief-apply %.9f", wi, s, got, want)
-					}
-				}
-			}
-			for name, want := range chiefState {
-				got := psState[name]
-				if got == nil {
-					t.Errorf("ps-apply lost variable %q", name)
-					continue
-				}
-				for i := 0; i < want.NumElements(); i++ {
-					if diff := math.Abs(got.FloatAt(i) - want.FloatAt(i)); diff > tolerance {
-						t.Errorf("%s[%d]: ps-apply %.9f, chief-apply %.9f", name, i, got.FloatAt(i), want.FloatAt(i))
-					}
-				}
-			}
+			checkSyncParity(t, tc.opt, repModel, feeds, 12, 1e-6)
 		})
 	}
 }
@@ -188,50 +361,21 @@ func embFeeds(wi, s int) map[string]*tf.Tensor {
 	return map[string]*tf.Tensor{"idx": tf.FromInt32s(tf.Shape{embBatch}, v)}
 }
 
-// TestPSApplySyncMatchesChiefApplySparse: sparse pushes (row indices +
-// values, no densify) must land on the same parameters the chief-apply
-// path's densified means produce.
+// TestPSApplySyncMatchesChiefApplySparse: sparse pushes (row indices and
+// values, never densified on the wire) land on the same parameters and slot
+// state as the single-session reference. SGD, Momentum and Adagrad update
+// only the pushed rows on both sides; the other rules apply to the
+// densified gradient on both sides.
 func TestPSApplySyncMatchesChiefApplySparse(t *testing.T) {
-	const (
-		rounds    = 10
-		tolerance = 1e-6
-	)
-	for _, tc := range []struct {
-		name string
-		opt  func() Optimizer
-	}{
-		{"sgd", func() Optimizer { return &GradientDescent{LearningRate: 0.1} }},
-		{"adagrad", func() Optimizer { return &Adagrad{LearningRate: 0.2} }},
-	} {
+	for _, tc := range allOptimizers {
 		t.Run(tc.name, func(t *testing.T) {
-			chiefLosses, chiefState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt(), ChiefApply: true}, embModel, embFeeds, 2, 2, rounds)
-			psLosses, psState := runSyncReplicated(t,
-				ReplicatedOptions{Optimizer: tc.opt()}, embModel, embFeeds, 2, 2, rounds)
-			for wi := range chiefLosses {
-				for s := range chiefLosses[wi] {
-					want, got := chiefLosses[wi][s], psLosses[wi][s]
-					if diff := math.Abs(got - want); diff > tolerance*math.Max(1, math.Abs(want)) {
-						t.Errorf("worker %d round %d: ps-apply loss %.9f, chief-apply %.9f", wi, s, got, want)
-					}
-				}
-			}
-			want, got := chiefState["emb"], psState["emb"]
-			if want == nil || got == nil {
-				t.Fatalf("embedding table missing: chief=%v ps=%v", want != nil, got != nil)
-			}
-			for i := 0; i < want.NumElements(); i++ {
-				if diff := math.Abs(got.FloatAt(i) - want.FloatAt(i)); diff > tolerance {
-					t.Errorf("emb[%d]: ps-apply %.9f, chief-apply %.9f", i, got.FloatAt(i), want.FloatAt(i))
-				}
-			}
+			checkSyncParity(t, tc.opt, embModel, embFeeds, 10, 1e-6)
 		})
 	}
 }
 
 // trafficCounter tallies gradient-shaped tensors crossing the master's
-// transports, distinguishing RunGraph feeds (the legacy chief-apply
-// vehicle) from PushGradients payloads (the PR 10 vehicle).
+// transports, distinguishing RunGraph feeds from PushGradients payloads.
 type trafficCounter struct {
 	mu sync.Mutex
 	// markFeeds counts RunGraph feed tensors with exactly markElems
@@ -354,28 +498,15 @@ func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	return c
 }
 
-// TestPSApplyChiefTrafficCarriesNoGradients pins the traffic claim of PR
-// 10: in chief-apply mode every round ships the weight's mean gradient as a
-// RunGraph feed; in PS-apply mode no RunGraph feed is gradient-shaped —
-// gradients reach the shard only inside PushGradients.
+// TestPSApplyChiefTrafficCarriesNoGradients pins the traffic shape of sync
+// training: no RunGraph feed is gradient-shaped — gradients reach the shard
+// only inside PushGradients, once per worker per round.
 func TestPSApplyChiefTrafficCarriesNoGradients(t *testing.T) {
 	const (
 		workers = 2
 		rounds  = 3
 	)
-	opt := func() Optimizer { return &GradientDescent{LearningRate: 0.05} }
-
-	chief := runCountedSync(t, ReplicatedOptions{Optimizer: opt(), ChiefApply: true},
-		bigModel, bigFeeds, bigDim, workers, rounds)
-	if chief.markFeeds != rounds {
-		t.Errorf("chief-apply fed the weight gradient %d times over %d rounds; the legacy path feeds it once per round",
-			chief.markFeeds, rounds)
-	}
-	if chief.pushCalls != 0 {
-		t.Errorf("chief-apply issued %d PushGradients calls; want none", chief.pushCalls)
-	}
-
-	ps := runCountedSync(t, ReplicatedOptions{Optimizer: opt()},
+	ps := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.05}},
 		bigModel, bigFeeds, bigDim, workers, rounds)
 	if ps.markFeeds != 0 {
 		t.Errorf("ps-apply fed %d gradient-shaped tensors through RunGraph; gradients must ride PushGradients only",

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/distributed"
 	"repro/internal/graph"
-	"repro/internal/tensor"
+	"repro/internal/ops"
 	"repro/tf"
 )
 
@@ -16,8 +16,9 @@ import (
 // replica — a private graph and master whose variables alias the shared PS
 // state by name — and updates are coordinated either asynchronously (every
 // replica applies its own gradients, Figure 4a) or synchronously with backup
-// workers (the first m of n replica gradients per step are aggregated and
-// applied once, stragglers' stale updates are discarded, Figure 4c).
+// workers (each PS shard aggregates the first m of n replica gradients per
+// round and applies them once, next to its variables; stragglers' stale
+// updates are discarded, Figure 4c).
 //
 // Fault tolerance is user-level, as in the paper: each master retries steps
 // whose task became unreachable (re-registering subgraphs after the task
@@ -40,21 +41,16 @@ type ReplicatedOptions struct {
 	// index (and its shard checkpoints), survivors keep theirs.
 	WorkerTasks []int
 	PSTasks     []int
-	// Optimizer applies gradients; it is required.
+	// Optimizer applies gradients; it is required. Sync training also
+	// requires it to implement UpdateRuler.
 	Optimizer Optimizer
-	// Sync selects synchronous coordination (Figure 4b/4c); Backups is the
-	// number of backup workers b: with n worker tasks, each synchronous
-	// step aggregates the first m = n−b gradients (§4.4).
+	// Sync selects synchronous coordination (Figure 4b/4c): workers push
+	// their gradients to the owning PS shards, which aggregate each round
+	// and apply the optimizer's update rule next to the variables. Backups
+	// is the number of backup workers b: with n worker tasks, each round
+	// aggregates the first m = n−b gradients (§4.4).
 	Sync    bool
 	Backups int
-	// ChiefApply forces the legacy sync topology: workers return gradients
-	// to the chief, which aggregates and applies them through its apply
-	// graph. By default a sync trainer whose optimizer implements
-	// UpdateRuler pushes gradients to the owning PS shard instead, where
-	// the update rule is applied next to the variables (PS-side apply);
-	// the chief then never carries gradient traffic. Optimizers without a
-	// serializable rule always use chief apply.
-	ChiefApply bool
 	// CheckpointPrefix enables fault tolerance: every CheckpointEvery
 	// global steps each PS task writes its shard to
 	// "<prefix>.<job>-<task>-<step>" and keeps KeepCheckpoints files.
@@ -180,48 +176,31 @@ type replica struct {
 
 	// Async: optimizer update + global-step bump, run by every TrainStep.
 	trainTargets []*graph.Node
-	// Sync: the replica only computes gradients; the chief (or the PS
-	// shards) applies them. Sparse gradients occupy two endpoints
-	// (indices, values) — see gradPlan.
+	// Sync: the replica only computes gradients; the PS shards apply
+	// them. Sparse gradients occupy two endpoints (indices, values) — see
+	// gradPlan.
 	gradEPs []graph.Endpoint
-}
-
-// gradSlot records how one variable's gradient travels in the fetched
-// tuple: one dense tensor, or an (indices, values) pair for sparse
-// gradients that must reach the shard without densifying.
-type gradSlot struct {
-	sparse bool
-}
-
-type syncPush struct {
-	round int64
-	grads []*tf.Tensor
 }
 
 // Replicated is a data-parallel trainer: one between-graph replica per
 // worker task over shared PS state. Worker loops call TrainStep
-// concurrently; in sync mode an internal chief goroutine aggregates
-// gradients and releases the barrier.
+// concurrently; in sync mode the PS shards hold the barrier.
 type Replicated struct {
 	opts ReplicatedOptions
 	reps []*replica
 	m    int // sync: gradients aggregated per step (n − Backups)
 
-	// PS-side apply (sync mode, UpdateRuler optimizers): workers push
-	// gradients to the owning shard, which aggregates and applies them
-	// next to the variables. rule is the serialized update rule; varTask
-	// maps each variable index to its PS task; gradPlan describes the
-	// fetched gradient tuple's layout (shared by the chief aggregation
-	// path, which uses it to keep embedding gradients sparse on the wire).
-	psApply  bool
-	rule     distributed.UpdateRule
+	// Sync mode: workers push gradients to the owning shard, which
+	// aggregates and applies them next to the variables. rule is the
+	// serialized update rule; varTask maps each variable index to its PS
+	// task; gradPlan describes the fetched gradient tuple's layout: per
+	// variable, whether its gradient travels as an (indices, values) pair,
+	// which keeps embedding gradients sparse on the wire.
+	rule     ops.UpdateRule
 	varTask  []string
-	gradPlan []gradSlot
+	gradPlan []bool
 	psTasks  []string
 
-	// Chief-side apply graph (sync mode), built on replica 0.
-	applyFeeds   []tf.Output
-	applyTargets []*graph.Node
 	// Per-initializer probes on the chief graph: Init re-runs exactly the
 	// initializers whose variable is uninitialized (a shard lost with no
 	// checkpoint) without clobbering healthy shards.
@@ -233,25 +212,22 @@ type Replicated struct {
 	restoreFeeds map[string]tf.Output
 	restoreOps   map[string]*graph.Node
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	round      int64 // completed synchronous rounds
-	err        error // first terminal error; broadcast to all workers
-	closed     bool
-	quitClosed bool
-	dead       map[int]bool // sync replicas whose steps fail terminally
-
-	gradCh chan syncPush
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	mu     sync.Mutex
+	round  int64 // next synchronous round (== the global step)
+	err    error // first terminal error; returned to all workers
+	closed bool
+	dead   map[int]bool  // sync replicas whose steps fail terminally
+	quit   chan struct{} // closed (once, by stop) when the trainer fails or closes
+	stop   sync.Once
 
 	saveMu    sync.Mutex
 	lastSaved int64
 	saveErr   error
 }
 
-// NewReplicated builds one replica per worker task (and the chief's apply
-// graph in sync mode). Call Init before the first TrainStep.
+// NewReplicated builds one replica per worker task. In sync mode the
+// optimizer must implement UpdateRuler. Call Init before the first
+// TrainStep.
 func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
@@ -265,19 +241,17 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		opts:         opts,
 		m:            numWorkers - opts.Backups,
 		psTasks:      psTasks,
-		gradCh:       make(chan syncPush, 4*numWorkers),
 		quit:         make(chan struct{}),
 		dead:         map[int]bool{},
 		restoreFeeds: map[string]tf.Output{},
 		restoreOps:   map[string]*graph.Node{},
 	}
-	r.cond = sync.NewCond(&r.mu)
-	if opts.Sync && !opts.ChiefApply {
-		if ur, ok := opts.Optimizer.(UpdateRuler); ok {
-			if rule, ok := ur.UpdateRule(); ok {
-				r.rule, r.psApply = rule, true
-			}
+	if opts.Sync {
+		ur, ok := opts.Optimizer.(UpdateRuler)
+		if !ok {
+			return nil, fmt.Errorf("train: sync training applies updates on the PS shards; optimizer %T has no update rule (implement UpdateRuler)", opts.Optimizer)
 		}
+		r.rule = ur.UpdateRule()
 	}
 
 	for wi := 0; wi < numWorkers; wi++ {
@@ -299,10 +273,9 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 		if opts.Sync {
 			// The replica computes gradients — dense tensors, or sparse
 			// (indices, values) pairs left undensified so embedding
-			// updates can land as scatter ops. Applying them is the
-			// shards' job (PS-apply) or the chief's (legacy), so every
-			// worker reads the same parameter version per round
-			// (Figure 4b).
+			// updates touch only their rows. Applying them is the
+			// shards' job, so every worker reads the same parameter
+			// version per round (Figure 4b).
 			eps, plan, err := replicaGradients(wg, m.Loss, rb.vars)
 			if err != nil {
 				return nil, fmt.Errorf("train: replica %d gradients: %w", wi, err)
@@ -312,38 +285,17 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 				r.gradPlan = plan
 				r.varTask = rb.varTasks
 			}
-			if wi == 0 && r.psApply {
-				// PS-apply: no apply graph — the shards run the update
-				// rule themselves. Declare the rule's slot variables next
-				// to their parameters so initialization, probes, restores
+			if wi == 0 {
+				// No apply graph: the shards run the update rule
+				// themselves. Declare the rule's slot variables next to
+				// their parameters so initialization, probes, restores
 				// and checkpoint merges cover the PS-resident optimizer
 				// state the shards will update.
-				if r.rule.SlotName() != "" {
-					for _, v := range rb.vars {
-						slotVars = append(slotVars, slotVar(g, v, r.rule.SlotName(), r.rule.SlotFill()))
+				for _, v := range rb.vars {
+					for _, name := range r.rule.Slots() {
+						slotVars = append(slotVars, slotVar(g, v, name, r.rule.SlotFill()))
 					}
 				}
-			}
-			if wi == 0 && !r.psApply {
-				// Chief apply graph: placeholders carry the aggregated
-				// means into the optimizer update. The update math is
-				// scoped to the PS (Figure 4b: the parameter servers
-				// apply the aggregated update), so applying a round
-				// touches no worker task — a dead worker covered by a
-				// backup cannot take the aggregator down with it.
-				applyGrads := make([]tf.Gradient, len(rb.vars))
-				r.applyFeeds = make([]tf.Output, len(rb.vars))
-				for i, v := range rb.vars {
-					ph := g.Placeholder(fmt.Sprintf("replicate/mean_grad_%d", i), v.DType(), v.Shape())
-					r.applyFeeds[i] = ph
-					applyGrads[i] = tf.Gradient{Dense: ph}
-				}
-				applyOp, err := opts.Optimizer.ApplyGradients(psView, applyGrads, rb.vars)
-				if err != nil {
-					return nil, err
-				}
-				bump := bumpAfter(psView, gs, applyOp)
-				r.applyTargets = []*graph.Node{applyOp.Node(), bump.Node()}
 			}
 		} else {
 			trainOp, err := opts.Optimizer.Minimize(wg, m.Loss, rb.vars)
@@ -365,7 +317,7 @@ func NewReplicated(opts ReplicatedOptions, model ModelFn) (*Replicated, error) {
 				r.initNodes = append(r.initNodes, n)
 			}
 			// Restore graph: one placeholder+Assign per parameter, per
-			// declared optimizer slot (PS-apply mode) and the global
+			// declared optimizer slot (sync mode) and the global
 			// step, each assign colocated with its variable via the
 			// reference edge. The elastic layer feeds these to migrate
 			// checkpointed shards onto a changed variable→shard mapping —
@@ -407,7 +359,7 @@ func bumpAfter(psView *tf.Graph, gs *tf.Variable, update *tf.Operation) *tf.Oper
 // to vocabulary size (§4.2). Zero gradients contribute dense zeros so the
 // tuple stays positional (and so stateful rules, e.g. momentum decay,
 // still see the variable every round).
-func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph.Endpoint, []gradSlot, error) {
+func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph.Endpoint, []bool, error) {
 	xs := make([]tf.Output, len(vars))
 	for i, v := range vars {
 		xs[i] = v.Value()
@@ -417,13 +369,13 @@ func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph
 		return nil, nil, err
 	}
 	var eps []graph.Endpoint
-	plan := make([]gradSlot, len(grads))
+	plan := make([]bool, len(grads))
 	for i, gr := range grads {
 		switch {
 		case gr.IsZero():
 			eps = append(eps, g.Const(tf.NewTensor(vars[i].DType(), vars[i].Shape())).Unwrap())
 		case gr.Sparse != nil:
-			plan[i].sparse = true
+			plan[i] = true
 			eps = append(eps, gr.Sparse.Indices.Unwrap(), gr.Sparse.Values.Unwrap())
 		default:
 			eps = append(eps, gr.Dense.Unwrap())
@@ -436,8 +388,8 @@ func replicaGradients(g *tf.Graph, loss tf.Output, vars []*tf.Variable) ([]graph
 // left by an earlier client, or restored by restarted tasks from their
 // shard checkpoints (§4.3) — is kept untouched, while uninitialized
 // variables (a fresh cluster, or a shard lost before its first checkpoint)
-// get exactly their own initializers run. In sync mode Init also starts the
-// chief aggregator. It returns the global step training resumes from.
+// get exactly their own initializers run. It returns the global step
+// training resumes from, which is also the next synchronous round.
 func (r *Replicated) Init() (int64, error) {
 	chief := r.reps[0]
 	probes, err := chief.master.Run(nil, r.probeEPs, nil)
@@ -462,19 +414,11 @@ func (r *Replicated) Init() (int64, error) {
 	r.saveMu.Lock()
 	r.lastSaved = step
 	r.saveMu.Unlock()
-	if r.opts.Sync {
-		if r.psApply {
-			// PS-apply: rounds are absolute (round k produces global step
-			// k+1), so start from the restored step. The barrier lives at
-			// the shards; no chief aggregator runs.
-			r.mu.Lock()
-			r.round = step
-			r.mu.Unlock()
-		} else {
-			r.wg.Add(1)
-			go r.aggregate()
-		}
-	}
+	// Rounds are absolute (round k produces global step k+1), so start
+	// from the restored step.
+	r.mu.Lock()
+	r.round = step
+	r.mu.Unlock()
 	return step, nil
 }
 
@@ -519,9 +463,9 @@ func (rep *replica) feedMap(feeds map[string]*tf.Tensor) (map[graph.Endpoint]*tf
 // TrainStep runs one training step on worker wi's replica and returns the
 // replica's loss. Async mode computes and applies gradients in one
 // distributed step (Figure 4a). Sync mode computes gradients against the
-// current parameter version, hands them to the chief tagged with the
-// current round, and blocks until the round completes — which happens as
-// soon as m of the n replicas have contributed, so a straggler (or a
+// current parameter version and pushes them, tagged with the current round,
+// to the owning PS shards, blocking until the round applies — which happens
+// as soon as m of the n replicas have contributed, so a straggler (or a
 // crashed worker) does not hold up the step (Figure 4c); its late gradients
 // are discarded as stale.
 func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, error) {
@@ -557,77 +501,48 @@ func (r *Replicated) TrainStep(wi int, feeds map[string]*tf.Tensor) (float64, er
 	}
 	out, err := rep.master.Run(f, append([]graph.Endpoint{rep.lossEP}, rep.gradEPs...), nil)
 	if err != nil {
-		// The replica's step failed past its retry budget. Backup workers
-		// absorb up to Backups failed replicas (§4.4); once fewer than m
-		// remain failing-free, no round can ever complete, so fail the
-		// trainer instead of leaving the survivors blocked in the barrier
-		// forever. The mark is cleared when the replica steps successfully
-		// again, so a transient outage on one replica does not combine
-		// with a later one elsewhere into a spurious whole-trainer kill.
-		r.mu.Lock()
-		r.dead[wi] = true
-		deadNow := len(r.dead)
-		r.mu.Unlock()
-		if deadNow > r.opts.Backups {
-			r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
-				deadNow, r.opts.Backups, wi, err))
-		}
-		return 0, err
+		return 0, r.replicaFailed(wi, err)
 	}
 	r.mu.Lock()
 	delete(r.dead, wi) // the replica recovered
 	r.mu.Unlock()
-
-	if r.psApply {
-		// Push the gradients to the owning shards, which aggregate this
-		// round m-of-n and apply the update rule next to the variables
-		// (§4.4 with the barrier at the shard). The push blocks until the
-		// round applies, so returning here IS the barrier.
-		applied, perr := r.pushGradients(wi, round, out[1:])
-		if perr != nil {
-			if terr := r.terminal(); terr != nil {
-				return 0, terr
-			}
-			// A failed push is a failed contribution: account it like a
-			// failed replica step so a dead shard (no round can ever
-			// complete) fails the trainer instead of wedging the
-			// survivors in their pushes.
-			r.mu.Lock()
-			r.dead[wi] = true
-			deadNow := len(r.dead)
-			r.mu.Unlock()
-			if deadNow > r.opts.Backups {
-				r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
-					deadNow, r.opts.Backups, wi, perr))
-			}
-			return 0, perr
+	// The shards aggregate this round m-of-n and apply the update rule
+	// next to the variables (§4.4 with the barrier at the shard). The push
+	// blocks until the round applies, so returning from it IS the barrier.
+	applied, err := r.pushGradients(wi, round, out[1:])
+	if err != nil {
+		if terr := r.terminal(); terr != nil {
+			return 0, terr
 		}
-		r.mu.Lock()
-		if applied+1 > r.round {
-			r.round = applied + 1
-		}
-		r.mu.Unlock()
-		r.maybeSave(applied + 1)
-		return out[0].FloatAt(0), nil
+		return 0, r.replicaFailed(wi, err)
 	}
-
-	select {
-	case r.gradCh <- syncPush{round: round, grads: out[1:]}:
-	case <-r.quit:
-		return 0, r.terminal()
-	}
-	// Barrier: wait until the chief finishes this round (with or without
-	// our contribution).
 	r.mu.Lock()
-	for r.round <= round && r.terminalLocked() == nil {
-		r.cond.Wait()
+	if applied+1 > r.round {
+		r.round = applied + 1
 	}
-	terr = r.terminalLocked()
 	r.mu.Unlock()
-	if terr != nil {
-		return 0, terr
-	}
+	r.maybeSave(applied + 1)
 	return out[0].FloatAt(0), nil
+}
+
+// replicaFailed accounts a failed contribution from replica wi — its step
+// failed past its retry budget, or its push did — and returns err. Backup
+// workers absorb up to Backups failing replicas (§4.4); once fewer than m
+// remain, no round can ever complete (a dead shard has the same effect), so
+// the trainer fails instead of leaving the survivors blocked in their
+// pushes. The mark clears when the replica steps successfully again, so a
+// transient outage on one replica does not combine with a later one
+// elsewhere into a spurious whole-trainer kill.
+func (r *Replicated) replicaFailed(wi int, err error) error {
+	r.mu.Lock()
+	r.dead[wi] = true
+	deadNow := len(r.dead)
+	r.mu.Unlock()
+	if deadNow > r.opts.Backups {
+		r.fail(fmt.Errorf("train: %d replicas failing with %d backup workers (last, replica %d): %w",
+			deadNow, r.opts.Backups, wi, err))
+	}
+	return err
 }
 
 func (r *Replicated) terminalLocked() error {
@@ -646,21 +561,15 @@ func (r *Replicated) terminal() error {
 	return r.terminalLocked()
 }
 
-// fail records the trainer's terminal error and wakes everyone: workers
-// blocked in the barrier (broadcast) and the aggregator or workers blocked
-// on the gradient channel (quit).
+// fail records the trainer's terminal error and wakes every worker blocked
+// in a push (quit).
 func (r *Replicated) fail(err error) {
 	r.mu.Lock()
-	if r.err == nil && err != nil {
+	if r.err == nil {
 		r.err = err
 	}
-	wasClosed := r.quitClosed
-	r.quitClosed = true
-	r.cond.Broadcast()
 	r.mu.Unlock()
-	if !wasClosed {
-		close(r.quit)
-	}
+	r.stop.Do(func() { close(r.quit) })
 }
 
 // pushGradients sends one worker's round contribution to every owning PS
@@ -686,10 +595,10 @@ func (r *Replicated) pushGradients(wi int, round int64, grads []*tf.Tensor) (int
 		return req
 	}
 	pos := 0
-	for i, sl := range r.gradPlan {
+	for i, sparse := range r.gradPlan {
 		req := reqFor(r.varTask[i])
 		name := r.reps[0].vars[i].Name()
-		if sl.sparse {
+		if sparse {
 			req.Grads = append(req.Grads, distributed.GradientPush{
 				Name: name, Indices: grads[pos], Values: grads[pos+1]})
 			pos += 2
@@ -751,86 +660,6 @@ func (r *Replicated) pushOne(task string, req *distributed.PushGradientsReq) (in
 		}
 	}
 	return 0, fmt.Errorf("train: pushing gradients to %s: %w", task, err)
-}
-
-// aggregate is the chief loop of Figure 4c (legacy chief-apply mode): per
-// round, take the first m fresh gradient tuples (dropping tuples computed
-// against an older parameter version), apply their mean through the
-// optimizer, advance the global step, and release the barrier. Sparse
-// gradients arrive as (indices, values) pairs and are folded into the dense
-// mean here — the only densification left on this path, and it happens at
-// the chief, never in a replica's graph.
-func (r *Replicated) aggregate() {
-	defer r.wg.Done()
-	chief := r.reps[0]
-	for {
-		r.mu.Lock()
-		round := r.round
-		r.mu.Unlock()
-
-		var sums []*tf.Tensor
-		for fresh := 0; fresh < r.m; {
-			var p syncPush
-			select {
-			case p = <-r.gradCh:
-			case <-r.quit:
-				return
-			}
-			if p.round != round {
-				continue // stale: a backup worker's gradients from an earlier round
-			}
-			if sums == nil {
-				sums = make([]*tf.Tensor, len(r.gradPlan))
-				for i, v := range chief.vars {
-					sums[i] = tf.NewTensor(v.DType(), v.Shape())
-				}
-			}
-			if err := r.accumulate(sums, p.grads); err != nil {
-				r.fail(err)
-				return
-			}
-			fresh++
-		}
-		feeds := make(map[graph.Endpoint]*tf.Tensor, len(sums))
-		for i, t := range sums {
-			for j := 0; j < t.NumElements(); j++ {
-				t.SetFloat(j, t.FloatAt(j)/float64(r.m))
-			}
-			feeds[r.applyFeeds[i].Unwrap()] = t
-		}
-		out, err := chief.master.Run(feeds, []graph.Endpoint{chief.stepEP}, r.applyTargets)
-		if err != nil {
-			r.fail(err)
-			return
-		}
-		r.mu.Lock()
-		r.round++
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		r.maybeSave(int64(out[0].IntAt(0)))
-	}
-}
-
-// accumulate folds one gradient tuple into the per-variable sums following
-// the plan: dense tensors add elementwise, sparse (indices, values) pairs
-// scatter-add into just their rows.
-func (r *Replicated) accumulate(sums []*tf.Tensor, grads []*tf.Tensor) error {
-	pos := 0
-	for i, sl := range r.gradPlan {
-		if sl.sparse {
-			if err := tensor.ScatterAddInPlace(sums[i], grads[pos], grads[pos+1]); err != nil {
-				return fmt.Errorf("train: aggregating sparse gradient %d: %w", i, err)
-			}
-			pos += 2
-			continue
-		}
-		t := grads[pos]
-		pos++
-		for j := 0; j < t.NumElements(); j++ {
-			sums[i].SetFloat(j, sums[i].FloatAt(j)+t.FloatAt(j))
-		}
-	}
-	return nil
 }
 
 // maybeSave checkpoints every PS shard when the global step has advanced
@@ -917,9 +746,9 @@ func (r *Replicated) RestoreVariables(values map[string]*tf.Tensor) (int, error)
 	if _, err := r.reps[0].master.Run(feeds, nil, targets); err != nil {
 		return 0, err
 	}
-	if r.psApply {
-		// Rounds are absolute in PS-apply mode: re-anchor to the restored
-		// global step so the next pushes carry the right tag.
+	if r.opts.Sync {
+		// Rounds are absolute: re-anchor to the restored global step so
+		// the next pushes carry the right tag.
 		step, err := r.GlobalStep()
 		if err != nil {
 			return 0, err
@@ -938,21 +767,11 @@ func (r *Replicated) SaveErr() error {
 	return r.saveErr
 }
 
-// Close stops the chief aggregator and unblocks waiting workers. It does
-// not touch the PS state, which outlives the trainer (§4.3).
+// Close unblocks workers waiting in a push. It does not touch the PS state,
+// which outlives the trainer (§4.3).
 func (r *Replicated) Close() {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
 	r.closed = true
-	wasClosed := r.quitClosed
-	r.quitClosed = true
-	r.cond.Broadcast()
 	r.mu.Unlock()
-	if !wasClosed {
-		close(r.quit)
-	}
-	r.wg.Wait()
+	r.stop.Do(func() { close(r.quit) })
 }

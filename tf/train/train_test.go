@@ -203,6 +203,72 @@ func TestAdagradSparseAccumulatorStaysSparse(t *testing.T) {
 	}
 }
 
+// TestSparseDuplicateIndicesMatchDense: a row gathered twice in one step
+// gets one update from its summed gradient, exactly as the equivalent dense
+// gradient would give it — the sparse kernels sum duplicate indices first.
+func TestSparseDuplicateIndicesMatchDense(t *testing.T) {
+	const steps = 3
+	initial := []float32{1, 1, 2, 2, 3, 3, 4, 4}
+	// run trains emb for three steps and returns the final loss and table.
+	// The sparse loss sums Gather(emb, {1, 1}); the dense one weights the
+	// same row by 2 without a Gather, so its gradient is dense.
+	run := func(t *testing.T, opt train.Optimizer, sparse bool) (float64, []float32) {
+		t.Helper()
+		g := tf.NewGraph()
+		emb := g.NewVariableFromTensor("emb", tf.FromFloat32s(tf.Shape{4, 2}, initial))
+		var loss tf.Output
+		if sparse {
+			loss = g.Sum(g.Gather(emb.Value(), g.Const([]int32{1, 1})), nil, false)
+		} else {
+			mask := g.Const(tf.FromFloat32s(tf.Shape{4, 2}, []float32{0, 0, 2, 2, 0, 0, 0, 0}))
+			loss = g.Sum(g.Mul(emb.Value(), mask), nil, false)
+		}
+		trainOp, err := opt.Minimize(g, loss, []*tf.Variable{emb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := tf.NewSession(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		if err := sess.RunTargets(g.InitOp()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < steps; i++ {
+			if err := sess.RunTargets(trainOp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := sess.Run(nil, []tf.Output{loss, emb.Value()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0].FloatAt(0), out[1].Float32s()
+	}
+	for _, tc := range []struct {
+		name string
+		opt  func() train.Optimizer
+	}{
+		{"sgd", func() train.Optimizer { return &train.GradientDescent{LearningRate: 0.5} }},
+		{"momentum", func() train.Optimizer { return &train.Momentum{LearningRate: 0.5, Decay: 0.9} }},
+		{"adagrad", func() train.Optimizer { return &train.Adagrad{LearningRate: 0.5, InitialAccum: 0.1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sparseLoss, sparseEmb := run(t, tc.opt(), true)
+			denseLoss, denseEmb := run(t, tc.opt(), false)
+			if !(math.Abs(sparseLoss-denseLoss) <= 1e-6*math.Max(1, math.Abs(denseLoss))) {
+				t.Errorf("loss with ids {1,1} = %.6f, dense equivalent %.6f", sparseLoss, denseLoss)
+			}
+			for i := range denseEmb {
+				if !(math.Abs(float64(sparseEmb[i]-denseEmb[i])) <= 1e-6) {
+					t.Fatalf("emb with ids {1,1} = %v, dense equivalent %v", sparseEmb, denseEmb)
+				}
+			}
+		})
+	}
+}
+
 func TestClipByGlobalNorm(t *testing.T) {
 	g := tf.NewGraph()
 	x := g.NewVariableFromTensor("x", tf.FromFloat32s(tf.Shape{2}, []float32{3, 4}))
