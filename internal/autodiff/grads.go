@@ -217,31 +217,8 @@ func registerStandardGradients() {
 		return []Grad{DenseGrad(b.Op2("ReluGrad", g, n.Input(0)))}, nil
 	})
 
-	RegisterGradient("MatMul", func(b *build.B, n *graph.Node, out []Grad) ([]Grad, error) {
-		g, err := dense(b, out[0])
-		if err != nil {
-			return nil, err
-		}
-		ta := n.AttrBool("transpose_a", false)
-		tb := n.AttrBool("transpose_b", false)
-		a, bb := n.Input(0), n.Input(1)
-		var ga, gb graph.Endpoint
-		switch {
-		case !ta && !tb:
-			ga = b.MatMul(g, bb, false, true)
-			gb = b.MatMul(a, g, true, false)
-		case !ta && tb:
-			ga = b.MatMul(g, bb, false, false)
-			gb = b.MatMul(g, a, true, false)
-		case ta && !tb:
-			ga = b.MatMul(bb, g, false, true)
-			gb = b.MatMul(a, g, false, false)
-		default:
-			ga = b.MatMul(bb, g, true, true)
-			gb = b.MatMul(g, a, true, true)
-		}
-		return []Grad{DenseGrad(ga), DenseGrad(gb)}, nil
-	})
+	RegisterGradient("MatMul", matMulGrad)
+	RegisterGradient("FusedMatMul", matMulGrad)
 
 	RegisterGradient("AddN", func(b *build.B, n *graph.Node, out []Grad) ([]Grad, error) {
 		grads := make([]Grad, n.NumInputs())
@@ -257,45 +234,6 @@ func registerStandardGradients() {
 			return nil, err
 		}
 		return []Grad{DenseGrad(g), DenseGrad(b.Op1("BiasAddGrad", g))}, nil
-	})
-
-	// FusedMatMul(a, b[, bias]) = activation(op(a)·op(b) + bias). The fusion
-	// pass normally runs after gradient construction, but a fused node can
-	// itself be differentiated (e.g. a loss built on an already-optimized
-	// inference graph). The Relu gate uses the fused OUTPUT: relu(x) > 0 iff
-	// x > 0, so the post-activation value carries the same mask as the
-	// unavailable pre-activation sum.
-	RegisterGradient("FusedMatMul", func(b *build.B, n *graph.Node, out []Grad) ([]Grad, error) {
-		g, err := dense(b, out[0])
-		if err != nil {
-			return nil, err
-		}
-		if n.AttrString("activation", "") == "Relu" {
-			g = b.Op2("ReluGrad", g, n.Out(0))
-		}
-		ta := n.AttrBool("transpose_a", false)
-		tb := n.AttrBool("transpose_b", false)
-		a, bb := n.Input(0), n.Input(1)
-		var ga, gb graph.Endpoint
-		switch {
-		case !ta && !tb:
-			ga = b.MatMul(g, bb, false, true)
-			gb = b.MatMul(a, g, true, false)
-		case !ta && tb:
-			ga = b.MatMul(g, bb, false, false)
-			gb = b.MatMul(g, a, true, false)
-		case ta && !tb:
-			ga = b.MatMul(bb, g, false, true)
-			gb = b.MatMul(a, g, false, false)
-		default:
-			ga = b.MatMul(bb, g, true, true)
-			gb = b.MatMul(g, a, true, true)
-		}
-		grads := []Grad{DenseGrad(ga), DenseGrad(gb)}
-		if n.NumInputs() == 3 {
-			grads = append(grads, DenseGrad(b.Op1("BiasAddGrad", g)))
-		}
-		return grads, nil
 	})
 
 	for _, spec := range []struct{ op, grad string }{{"Sum", "SumGrad"}, {"Mean", "MeanGrad"}} {
@@ -776,4 +714,44 @@ func minMaxGrad(b *build.B, n *graph.Node, out []Grad, cmpOp string) ([]Grad, er
 	gx := b.Mul(g, mask)
 	gy := b.Sub(g, gx)
 	return []Grad{sumToLike(b, gx, x), sumToLike(b, gy, y)}, nil
+}
+
+// matMulGrad differentiates MatMul(a, b) and FusedMatMul(a, b[, bias]) =
+// activation(op(a)·op(b) + bias); a MatMul node is the fused form with no
+// bias and no activation. The fusion pass normally runs after gradient
+// construction, but a fused node can itself be differentiated (e.g. a loss
+// built on an already-optimized inference graph). The Relu gate uses the
+// fused OUTPUT: relu(x) > 0 iff x > 0, so the post-activation value carries
+// the same mask as the unavailable pre-activation sum.
+func matMulGrad(b *build.B, n *graph.Node, out []Grad) ([]Grad, error) {
+	g, err := dense(b, out[0])
+	if err != nil {
+		return nil, err
+	}
+	if n.AttrString("activation", "") == "Relu" {
+		g = b.Op2("ReluGrad", g, n.Out(0))
+	}
+	ta := n.AttrBool("transpose_a", false)
+	tb := n.AttrBool("transpose_b", false)
+	a, bb := n.Input(0), n.Input(1)
+	var ga, gb graph.Endpoint
+	switch {
+	case !ta && !tb:
+		ga = b.MatMul(g, bb, false, true)
+		gb = b.MatMul(a, g, true, false)
+	case !ta && tb:
+		ga = b.MatMul(g, bb, false, false)
+		gb = b.MatMul(g, a, true, false)
+	case ta && !tb:
+		ga = b.MatMul(bb, g, false, true)
+		gb = b.MatMul(a, g, false, false)
+	default:
+		ga = b.MatMul(bb, g, true, true)
+		gb = b.MatMul(g, a, true, true)
+	}
+	grads := []Grad{DenseGrad(ga), DenseGrad(gb)}
+	if n.NumInputs() == 3 {
+		grads = append(grads, DenseGrad(b.Op1("BiasAddGrad", g)))
+	}
+	return grads, nil
 }

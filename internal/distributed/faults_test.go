@@ -169,67 +169,80 @@ func TestServerCloseUnblocksRunningStep(t *testing.T) {
 	}
 }
 
-// countingTransport counts AbortStep calls per task.
+// countingTransport counts the AbortStep calls delivered to one task,
+// after failing the first *lose of them as a lost message would.
 type countingTransport struct {
 	Transport
 	aborts *int
+	lose   *int
 	mu     *sync.Mutex
 }
 
 func (c countingTransport) AbortStep(req *AbortStepReq) error {
 	c.mu.Lock()
+	if *c.lose > 0 {
+		*c.lose--
+		c.mu.Unlock()
+		return fmt.Errorf("%w: AbortStep lost", ErrUnavailable)
+	}
 	*c.aborts++
 	c.mu.Unlock()
 	return c.Transport.AbortStep(req)
 }
 
+// TestMasterAbortsOncePerTaskOnFailure: a failed step delivers exactly one
+// AbortStep to every task, also when the first one sent to each is lost
+// (worker 0 would otherwise keep the value it sent to the failed task).
 func TestMasterAbortsOncePerTaskOnFailure(t *testing.T) {
-	spec, cluster := testCluster()
-	var mu sync.Mutex
-	counts := map[string]*int{}
-	resolver := func(task string) (Transport, error) {
-		tr, err := cluster.Resolver()(task)
-		if err != nil {
-			return nil, err
+	for _, lost := range []int{0, 1} {
+		spec, cluster := testCluster()
+		var mu sync.Mutex
+		counts, lose := map[string]*int{}, map[string]*int{}
+		resolver := func(task string) (Transport, error) {
+			tr, err := cluster.Resolver()(task)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			if counts[task] == nil {
+				counts[task], lose[task] = new(int), new(int)
+				*lose[task] = lost
+			}
+			n, l := counts[task], lose[task]
+			mu.Unlock()
+			return countingTransport{Transport: tr, aborts: n, lose: l, mu: &mu}, nil
 		}
-		mu.Lock()
-		if counts[task] == nil {
-			counts[task] = new(int)
-		}
-		n := counts[task]
-		mu.Unlock()
-		return countingTransport{Transport: tr, aborts: n, mu: &mu}, nil
-	}
 
-	// Worker 1's partition fails (uninitialized read); worker 0 feeds it.
-	g := graph.New()
-	v := buildNode(t, g, "Variable", nil, graph.NodeArgs{
-		Name:   "never_init",
-		Attrs:  map[string]any{"dtype": tensor.Float32, "shape": tensor.ScalarShape()},
-		Device: "/job:worker/task:1",
-	})
-	read := buildNode(t, g, "Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: "bad_read"})
-	c := buildNode(t, g, "Const", nil, graph.NodeArgs{
-		Name: "c", Attrs: map[string]any{"value": tensor.Scalar(1)}, Device: "/job:worker/task:0",
-	})
-	sum := buildNode(t, g, "Add", []graph.Endpoint{c.Out(0), read.Out(0)}, graph.NodeArgs{
-		Name: "sum", Device: "/job:worker/task:1",
-	})
-	m, err := NewMaster(g, spec, resolver, MasterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil); err == nil {
-		t.Fatal("failing step should error")
-	}
-	for task, n := range counts {
-		if *n != 1 {
-			t.Errorf("%s received %d AbortStep calls, want exactly 1", task, *n)
+		// Worker 1's partition fails (uninitialized read); worker 0 feeds it.
+		g := graph.New()
+		v := buildNode(t, g, "Variable", nil, graph.NodeArgs{
+			Name:   "never_init",
+			Attrs:  map[string]any{"dtype": tensor.Float32, "shape": tensor.ScalarShape()},
+			Device: "/job:worker/task:1",
+		})
+		read := buildNode(t, g, "Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Name: "bad_read"})
+		c := buildNode(t, g, "Const", nil, graph.NodeArgs{
+			Name: "c", Attrs: map[string]any{"value": tensor.Scalar(1)}, Device: "/job:worker/task:0",
+		})
+		sum := buildNode(t, g, "Add", []graph.Endpoint{c.Out(0), read.Out(0)}, graph.NodeArgs{
+			Name: "sum", Device: "/job:worker/task:1",
+		})
+		m, err := NewMaster(g, spec, resolver, MasterOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for task, w := range cluster.Workers {
-		if n := w.LocalTensorCount(); n != 0 {
-			t.Errorf("%s leaked %d rendezvous entries", task, n)
+		if _, err := m.Run(nil, []graph.Endpoint{sum.Out(0)}, nil); err == nil {
+			t.Fatal("failing step should error")
+		}
+		for task, n := range counts {
+			if *n != 1 {
+				t.Errorf("lost=%d: %s received %d AbortStep calls, want exactly 1", lost, task, *n)
+			}
+		}
+		for task, w := range cluster.Workers {
+			if n := w.LocalTensorCount(); n != 0 {
+				t.Errorf("lost=%d: %s leaked %d rendezvous entries", lost, task, n)
+			}
 		}
 	}
 }

@@ -404,11 +404,23 @@ func partitionSinks(g *graph.Graph) []string {
 	return out
 }
 
+// abortAttempts bounds how often endStep sends one task a failed
+// AbortStep. A lost abort leaves a peer's RecvTensor blocked on a Send
+// that will never happen, and the master waiting on that peer; AbortStep
+// is idempotent, and the worker's aborted-step ring absorbs late copies.
+const abortAttempts = 4
+
 // endStep tells every participating task the step is over.
 func (m *Master) endStep(cs *compiledStep, stepID int64) {
 	for _, sp := range cs.parts {
-		if tr, err := m.resolver(sp.task); err == nil {
-			_ = tr.AbortStep(&AbortStepReq{StepID: stepID})
+		for attempt := 0; attempt < abortAttempts; attempt++ {
+			tr, err := m.resolver(sp.task)
+			if err == nil {
+				err = tr.AbortStep(&AbortStepReq{StepID: stepID})
+			}
+			if err == nil {
+				break
+			}
 		}
 	}
 }

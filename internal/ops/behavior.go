@@ -68,7 +68,7 @@ func NoRetain(op string) bool {
 }
 
 func init() {
-	// Converted to ctx.Alloc in math.go / nn.go / fused.go.
+	// Converted to ctx.Alloc in math.go / nn.go.
 	MarkPlansOutputs(
 		"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "SquaredDifference",
 		"Neg", "Abs", "Exp", "Log", "Sqrt", "Rsqrt", "Square", "Tanh", "Sigmoid",

@@ -161,53 +161,17 @@ func registerMathOps() {
 		return nil
 	})
 
-	// MatMul with transpose attributes.
-	graph.RegisterOp(&graph.OpDef{
-		Type: "MatMul", MinInputs: 2, MaxInputs: 2,
-		Infer: func(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
-			if in[0].DType != in[1].DType {
-				return nil, fmt.Errorf("MatMul dtype mismatch %v vs %v", in[0].DType, in[1].DType)
-			}
-			ta, tb := n.AttrBool("transpose_a", false), n.AttrBool("transpose_b", false)
-			a, b := in[0].Shape, in[1].Shape
-			if a.Rank() != 2 || b.Rank() != 2 {
-				return nil, fmt.Errorf("MatMul needs rank-2 inputs, got %v and %v", a, b)
-			}
-			m, ka := a[0], a[1]
-			if ta {
-				m, ka = ka, m
-			}
-			kb, nn := b[0], b[1]
-			if tb {
-				kb, nn = nn, kb
-			}
-			if ka >= 0 && kb >= 0 && ka != kb {
-				return nil, fmt.Errorf("MatMul inner dims %d vs %d", ka, kb)
-			}
-			return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.Shape{m, nn}}}, nil
-		},
-	})
-	RegisterKernel("MatMul", "CPU", func(ctx *OpContext) error {
-		a, err := ctx.Input(0)
-		if err != nil {
-			return err
-		}
-		b, err := ctx.Input(1)
-		if err != nil {
-			return err
-		}
-		ta, tb := ctx.Node.AttrBool("transpose_a", false), ctx.Node.AttrBool("transpose_b", false)
-		outShape, err := tensor.MatMulOutShape(a, b, ta, tb)
-		if err != nil {
-			return err
-		}
-		out, err := tensor.MatMulInto(ctx.Alloc(0, a.DType(), outShape), a, b, ta, tb)
-		if err != nil {
-			return err
-		}
-		ctx.SetOutput(0, out)
-		return nil
-	})
+	// MatMul(a, b) and FusedMatMul(a, b[, bias]) share one shape function
+	// and one kernel: MatMul is FusedMatMul with no bias and no activation.
+	// FusedMatMul computes activation(op(a)·op(b) + bias) in one kernel — the
+	// target the fusion pass rewrites MatMul+BiasAdd(+Relu) chains onto (§5:
+	// hand-fused kernels for hot paths). Attributes: transpose_a and
+	// transpose_b, and "activation", either "" (none) or "Relu". The bias
+	// input must be rank-1 of the output's column count.
+	for name, maxInputs := range map[string]int{"MatMul": 2, "FusedMatMul": 3} {
+		graph.RegisterOp(&graph.OpDef{Type: name, MinInputs: 2, MaxInputs: maxInputs, Infer: inferMatMul})
+		RegisterKernel(name, "CPU", matMulKernel)
+	}
 
 	graph.RegisterOp(&graph.OpDef{
 		Type: "BatchMatMul", MinInputs: 2, MaxInputs: 2,
@@ -448,4 +412,68 @@ func registerMathOps() {
 		ctx.SetOutput(0, tensor.ScalarOf(a.DType(), sum/2))
 		return nil
 	})
+}
+
+func inferMatMul(n *graph.Node, in []graph.IOSpec) ([]graph.IOSpec, error) {
+	if in[0].DType != in[1].DType {
+		return nil, fmt.Errorf("%s dtype mismatch %v vs %v", n.Op(), in[0].DType, in[1].DType)
+	}
+	ta, tb := n.AttrBool("transpose_a", false), n.AttrBool("transpose_b", false)
+	a, b := in[0].Shape, in[1].Shape
+	if a.Rank() != 2 || b.Rank() != 2 {
+		return nil, fmt.Errorf("%s needs rank-2 inputs, got %v and %v", n.Op(), a, b)
+	}
+	m, ka := a[0], a[1]
+	if ta {
+		m, ka = ka, m
+	}
+	kb, nn := b[0], b[1]
+	if tb {
+		kb, nn = nn, kb
+	}
+	if ka >= 0 && kb >= 0 && ka != kb {
+		return nil, fmt.Errorf("%s inner dims %d vs %d", n.Op(), ka, kb)
+	}
+	if len(in) == 3 {
+		bs := in[2].Shape
+		if bs.Rank() != 1 {
+			return nil, fmt.Errorf("%s bias must be rank-1, got %v", n.Op(), bs)
+		}
+		if bs[0] >= 0 && nn >= 0 && bs[0] != nn {
+			return nil, fmt.Errorf("%s bias length %d != output columns %d", n.Op(), bs[0], nn)
+		}
+	}
+	if act := n.AttrString("activation", ""); act != "" && act != "Relu" {
+		return nil, fmt.Errorf("%s unsupported activation %q", n.Op(), act)
+	}
+	return []graph.IOSpec{{DType: in[0].DType, Shape: tensor.Shape{m, nn}}}, nil
+}
+
+func matMulKernel(ctx *OpContext) error {
+	a, err := ctx.Input(0)
+	if err != nil {
+		return err
+	}
+	b, err := ctx.Input(1)
+	if err != nil {
+		return err
+	}
+	var bias *tensor.Tensor
+	if len(ctx.Inputs) == 3 {
+		if bias, err = ctx.Input(2); err != nil {
+			return err
+		}
+	}
+	ta, tb := ctx.Node.AttrBool("transpose_a", false), ctx.Node.AttrBool("transpose_b", false)
+	relu := ctx.Node.AttrString("activation", "") == "Relu"
+	outShape, err := tensor.MatMulOutShape(a, b, ta, tb)
+	if err != nil {
+		return err
+	}
+	out, err := tensor.FusedMatMulBias(ctx.Alloc(0, a.DType(), outShape), a, b, bias, ta, tb, relu)
+	if err != nil {
+		return err
+	}
+	ctx.SetOutput(0, out)
+	return nil
 }

@@ -6,11 +6,7 @@ import "bytes"
 // so tensors embedded in RPC messages (graph registration, feeds, fetches)
 // ride the same format as checkpoints.
 func (t *Tensor) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := t.WriteTo(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return t.encode()
 }
 
 // GobDecode implements gob.GobDecoder.

@@ -83,21 +83,25 @@ func fusedMatMul(dst, a, b, bias *Tensor, ta, tb, relu bool) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: MatMul dst must be %v[%d %d], got %v%v", a.dtype, m, n, dst.dtype, dst.shape)
 	}
 	if a.dtype == Float32 {
-		var bv []float32
-		if bias != nil {
-			bv = bias.Float32s()
-		}
-		matmulF32(dst.Float32s(), a.Float32s(), b.Float32s(), m, k, n,
-			a.shape[1], b.shape[1], ta, tb, bv, relu)
-		return dst, nil
+		matmul(floats[float32](dst), floats[float32](a), floats[float32](b), m, k, n,
+			a.shape[1], b.shape[1], ta, tb, floats[float32](bias), relu)
+	} else {
+		matmul(floats[float64](dst), floats[float64](a), floats[float64](b), m, k, n,
+			a.shape[1], b.shape[1], ta, tb, floats[float64](bias), relu)
 	}
-	var bv []float64
-	if bias != nil {
-		bv = bias.Float64s()
-	}
-	matmulF64(dst.Float64s(), a.Float64s(), b.Float64s(), m, k, n,
-		a.shape[1], b.shape[1], ta, tb, bv, relu)
 	return dst, nil
+}
+
+// float is the element-type constraint of the matmul kernels: each kernel
+// is written once and instantiated for float32 and float64.
+type float interface{ float32 | float64 }
+
+// floats returns t's backing buffer as []T, or nil for a nil tensor.
+func floats[T float](t *Tensor) []T {
+	if t == nil {
+		return nil
+	}
+	return t.buf.([]T)
 }
 
 // matmulParallelThreshold is the output-element count above which the
@@ -151,10 +155,10 @@ func shardRange(count, work int, rangeFn func(i0, i1 int)) {
 	wg.Wait()
 }
 
-// matmulRowsF32 computes output rows [i0,i1) of one float32 matmul with
-// direct (unpacked) index arithmetic — the small-product path, also reused
-// by BatchMatMul. dst rows are accumulated into and must start zeroed.
-func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool) {
+// matmulRows computes output rows [i0,i1) of one matmul with direct
+// (unpacked) index arithmetic — the small-product path, also reused by
+// BatchMatMul. dst rows are accumulated into and must start zeroed.
+func matmulRows[T float](dst, a, b []T, i0, i1, k, n, lda, ldb int, ta, tb bool) {
 	switch {
 	case !ta && !tb:
 		// Hot path: iterate k in the outer position so that the
@@ -179,7 +183,7 @@ func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool)
 			drow := dst[i*n : i*n+n]
 			for j := 0; j < n; j++ {
 				brow := b[j*ldb : j*ldb+k]
-				var acc float32
+				var acc T
 				for p := 0; p < k; p++ {
 					acc += arow[p] * brow[p]
 				}
@@ -209,88 +213,21 @@ func matmulRowsF32(dst, a, b []float32, i0, i1, k, n, lda, ldb int, ta, tb bool)
 	}
 }
 
-// matmulRowsF64 is the float64 twin of matmulRowsF32, with the same
-// specialized inner loops.
-func matmulRowsF64(dst, a, b []float64, i0, i1, k, n, lda, ldb int, ta, tb bool) {
-	switch {
-	case !ta && !tb:
-		for i := i0; i < i1; i++ {
-			arow := a[i*lda : i*lda+k]
-			drow := dst[i*n : i*n+n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*ldb : p*ldb+n]
-				for j := 0; j < n; j++ {
-					drow[j] += av * brow[j]
-				}
-			}
-		}
-	case !ta && tb:
-		for i := i0; i < i1; i++ {
-			arow := a[i*lda : i*lda+k]
-			drow := dst[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				brow := b[j*ldb : j*ldb+k]
-				var acc float64
-				for p := 0; p < k; p++ {
-					acc += arow[p] * brow[p]
-				}
-				drow[j] = acc
-			}
-		}
-	default:
-		for i := i0; i < i1; i++ {
-			drow := dst[i*n : i*n+n]
-			for p := 0; p < k; p++ {
-				av := a[p*lda+i]
-				if av == 0 {
-					continue
-				}
-				if tb {
-					for j := 0; j < n; j++ {
-						drow[j] += av * b[j*ldb+p]
-					}
-				} else {
-					brow := b[p*ldb : p*ldb+n]
-					for j := 0; j < n; j++ {
-						drow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
-}
-
-func matmulF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []float32, relu bool) {
+func matmul[T float](dst, a, b []T, m, k, n, lda, ldb int, ta, tb bool, bias []T, relu bool) {
 	if usePacked(m, k, n) {
-		matmulPackedF32(dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
+		matmulPacked(dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
 		return
 	}
 	clear(dst[:m*n])
 	shardRange(m, m*n, func(i0, i1 int) {
-		matmulRowsF32(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
+		matmulRows(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
 	})
-	epilogueF32(dst, m, n, bias, relu)
+	epilogue(dst, m, n, bias, relu)
 }
 
-func matmulF64(dst, a, b []float64, m, k, n, lda, ldb int, ta, tb bool, bias []float64, relu bool) {
-	if usePacked(m, k, n) {
-		matmulPackedF64(dst, a, b, m, k, n, lda, ldb, ta, tb, bias, relu)
-		return
-	}
-	clear(dst[:m*n])
-	shardRange(m, m*n, func(i0, i1 int) {
-		matmulRowsF64(dst, a, b, i0, i1, k, n, lda, ldb, ta, tb)
-	})
-	epilogueF64(dst, m, n, bias, relu)
-}
-
-// epilogueF32 applies bias/ReLU in place for the unpacked path (the packed
+// epilogue applies bias/ReLU in place for the unpacked path (the packed
 // path folds both into its write-out loop).
-func epilogueF32(dst []float32, m, n int, bias []float32, relu bool) {
+func epilogue[T float](dst []T, m, n int, bias []T, relu bool) {
 	if bias == nil && !relu {
 		return
 	}
@@ -311,38 +248,15 @@ func epilogueF32(dst []float32, m, n int, bias []float32, relu bool) {
 	}
 }
 
-func epilogueF64(dst []float64, m, n int, bias []float64, relu bool) {
-	if bias == nil && !relu {
-		return
-	}
-	for i := 0; i < m; i++ {
-		drow := dst[i*n : i*n+n]
-		if bias != nil {
-			for j := range drow {
-				drow[j] += bias[j]
-			}
-		}
-		if relu {
-			for j := range drow {
-				if drow[j] < 0 {
-					drow[j] = 0
-				}
-			}
-		}
-	}
-}
-
-// matmulPackedF32 is the cache-blocked kernel: op(A) is made row-contiguous
+// matmulPacked is the cache-blocked kernel: op(A) is made row-contiguous
 // once (a copy only when A is transposed), op(B) is packed one packPanel-
 // wide column panel at a time, and each panel is consumed by all m rows
 // before the next is packed — the panel is written once and read m times,
-// which is what makes the repack pay for itself. Rows × 4-column blocks
-// form the micro-kernel: four independent dot-product accumulators per A
-// row, so the inner loop issues fused multiply-adds without a store.
-func matmulPackedF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bias []float32, relu bool) {
+// which is what makes the repack pay for itself.
+func matmulPacked[T float](dst, a, b []T, m, k, n, lda, ldb int, ta, tb bool, bias []T, relu bool) {
 	ar, ldar := a, lda
 	if ta {
-		ar = make([]float32, m*k)
+		ar = make([]T, m*k)
 		for p := 0; p < k; p++ {
 			src := a[p*lda : p*lda+m]
 			for i, v := range src {
@@ -351,7 +265,7 @@ func matmulPackedF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bi
 		}
 		ldar = k
 	}
-	panel := make([]float32, packPanel*k)
+	panel := make([]T, packPanel*k)
 	for jc := 0; jc < n; jc += packPanel {
 		jw := n - jc
 		if jw > packPanel {
@@ -371,12 +285,14 @@ func matmulPackedF32(dst, a, b []float32, m, k, n, lda, ldb int, ta, tb bool, bi
 			}
 		}
 		shardRange(m, m*jw, func(i0, i1 int) {
-			packedRowsF32(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
+			packedRows(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
 		})
 	}
 }
 
-func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bias []float32, relu bool) {
+// packedRows computes rows [i0,i1) of one packed column panel, with bias
+// and ReLU applied as each output is written.
+func packedRows[T float](dst, ar, panel []T, i0, i1, k, n, ldar, jc, jw int, bias []T, relu bool) {
 	// 1-row × 4-column register block: four independent dot-product
 	// accumulators per A row, so the inner loop issues fused multiply-adds
 	// with no store. (A 2-row variant was measured slower: eight
@@ -390,7 +306,7 @@ func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bia
 			b1 := panel[(j+1)*k : (j+1)*k+k]
 			b2 := panel[(j+2)*k : (j+2)*k+k]
 			b3 := panel[(j+3)*k : (j+3)*k+k]
-			var s0, s1, s2, s3 float32
+			var s0, s1, s2, s3 T
 			for p, av := range arow {
 				s0 += av * b0[p]
 				s1 += av * b1[p]
@@ -404,13 +320,13 @@ func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bia
 				s3 += bias[jc+j+3]
 			}
 			if relu {
-				s0, s1, s2, s3 = reluF32(s0), reluF32(s1), reluF32(s2), reluF32(s3)
+				s0, s1, s2, s3 = reluOf(s0), reluOf(s1), reluOf(s2), reluOf(s3)
 			}
 			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 		}
 		for ; j < jw; j++ {
 			bcol := panel[j*k : j*k+k]
-			var s float32
+			var s T
 			for p, av := range arow {
 				s += av * bcol[p]
 			}
@@ -418,113 +334,18 @@ func packedRowsF32(dst, ar, panel []float32, i0, i1, k, n, ldar, jc, jw int, bia
 				s += bias[jc+j]
 			}
 			if relu {
-				s = reluF32(s)
+				s = reluOf(s)
 			}
 			drow[j] = s
 		}
 	}
 }
 
-func reluF32(v float32) float32 {
+func reluOf[T float](v T) T {
 	if v < 0 {
 		return 0
 	}
 	return v
-}
-
-func reluF64(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// matmulPackedF64 is the float64 twin of matmulPackedF32.
-func matmulPackedF64(dst, a, b []float64, m, k, n, lda, ldb int, ta, tb bool, bias []float64, relu bool) {
-	ar, ldar := a, lda
-	if ta {
-		ar = make([]float64, m*k)
-		for p := 0; p < k; p++ {
-			src := a[p*lda : p*lda+m]
-			for i, v := range src {
-				ar[i*k+p] = v
-			}
-		}
-		ldar = k
-	}
-	panel := make([]float64, packPanel*k)
-	for jc := 0; jc < n; jc += packPanel {
-		jw := n - jc
-		if jw > packPanel {
-			jw = packPanel
-		}
-		if tb {
-			for j := 0; j < jw; j++ {
-				copy(panel[j*k:j*k+k], b[(jc+j)*ldb:(jc+j)*ldb+k])
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				brow := b[p*ldb+jc : p*ldb+jc+jw]
-				for j, v := range brow {
-					panel[j*k+p] = v
-				}
-			}
-		}
-		shardRange(m, m*jw, func(i0, i1 int) {
-			packedRowsF64(dst, ar, panel, i0, i1, k, n, ldar, jc, jw, bias, relu)
-		})
-	}
-}
-
-func packedRowsF64(dst, ar, panel []float64, i0, i1, k, n, ldar, jc, jw int, bias []float64, relu bool) {
-	for i := i0; i < i1; i++ {
-		arow := ar[i*ldar : i*ldar+k]
-		drow := dst[i*n+jc : i*n+jc+jw]
-		j := 0
-		for ; j+3 < jw; j += 4 {
-			b0 := panel[(j+0)*k : (j+0)*k+k]
-			b1 := panel[(j+1)*k : (j+1)*k+k]
-			b2 := panel[(j+2)*k : (j+2)*k+k]
-			b3 := panel[(j+3)*k : (j+3)*k+k]
-			var s0, s1, s2, s3 float64
-			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
-			}
-			if bias != nil {
-				s0 += bias[jc+j]
-				s1 += bias[jc+j+1]
-				s2 += bias[jc+j+2]
-				s3 += bias[jc+j+3]
-			}
-			if relu {
-				s0 = reluF64(s0)
-				s1 = reluF64(s1)
-				s2 = reluF64(s2)
-				s3 = reluF64(s3)
-			}
-			drow[j] = s0
-			drow[j+1] = s1
-			drow[j+2] = s2
-			drow[j+3] = s3
-		}
-		for ; j < jw; j++ {
-			bcol := panel[j*k : j*k+k]
-			var s float64
-			for p, av := range arow {
-				s += av * bcol[p]
-			}
-			if bias != nil {
-				s += bias[jc+j]
-			}
-			if relu {
-				s = reluF64(s)
-			}
-			drow[j] = s
-		}
-	}
 }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise: [b,m,k] x [b,k,n] →
@@ -543,21 +364,19 @@ func BatchMatMul(a, b *Tensor) (*Tensor, error) {
 	}
 	batch, m, k, n := a.shape[0], a.shape[1], a.shape[2], b.shape[2]
 	out := New(a.dtype, Shape{batch, m, n})
-	batchRange := func(b0, b1 int) {
-		for i := b0; i < b1; i++ {
-			if a.dtype == Float32 {
-				matmulRowsF32(out.Float32s()[i*m*n:(i+1)*m*n],
-					a.Float32s()[i*m*k:(i+1)*m*k],
-					b.Float32s()[i*k*n:(i+1)*k*n],
-					0, m, k, n, k, n, false, false)
-			} else {
-				matmulRowsF64(out.Float64s()[i*m*n:(i+1)*m*n],
-					a.Float64s()[i*m*k:(i+1)*m*k],
-					b.Float64s()[i*k*n:(i+1)*k*n],
-					0, m, k, n, k, n, false, false)
-			}
-		}
+	if a.dtype == Float32 {
+		batchMatMul(floats[float32](out), floats[float32](a), floats[float32](b), batch, m, k, n)
+	} else {
+		batchMatMul(floats[float64](out), floats[float64](a), floats[float64](b), batch, m, k, n)
 	}
-	shardRange(batch, batch*m*n, batchRange)
 	return out, nil
+}
+
+func batchMatMul[T float](out, a, b []T, batch, m, k, n int) {
+	shardRange(batch, batch*m*n, func(b0, b1 int) {
+		for i := b0; i < b1; i++ {
+			matmulRows(out[i*m*n:(i+1)*m*n], a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n],
+				0, m, k, n, k, n, false, false)
+		}
+	})
 }

@@ -103,28 +103,41 @@ func TestFusedMatMulBias(t *testing.T) {
 	for _, dt := range []DType{Float32, Float64} {
 		for _, sz := range [][3]int{{3, 5, 7}, {32, 48, 64}, {40, 20, 10}} {
 			m, k, n := sz[0], sz[1], sz[2]
-			a := randTensor(rng, dt, Shape{m, k})
-			b := randTensor(rng, dt, Shape{k, n})
 			bias := randTensor(rng, dt, Shape{n})
-			for _, relu := range []bool{false, true} {
-				got, err := FusedMatMulBias(nil, a, b, bias, false, false, relu)
-				if err != nil {
-					t.Fatal(err)
+			// Every transpose case: the packed path copies a transposed A
+			// and builds its panels from B either way round, and the fused
+			// bias and ReLU must land on each.
+			for _, tr := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+				ta, tb := tr[0], tr[1]
+				ash, bsh := Shape{m, k}, Shape{k, n}
+				if ta {
+					ash = Shape{k, m}
 				}
-				want := naiveMatMul(a, b, false, false)
-				for i := 0; i < m*n; i++ {
-					v := want.FloatAt(i) + bias.FloatAt(i%n)
-					if relu {
-						v = math.Max(v, 0)
+				if tb {
+					bsh = Shape{n, k}
+				}
+				a := randTensor(rng, dt, ash)
+				b := randTensor(rng, dt, bsh)
+				for _, relu := range []bool{false, true} {
+					got, err := FusedMatMulBias(nil, a, b, bias, ta, tb, relu)
+					if err != nil {
+						t.Fatal(err)
 					}
-					want.SetFloat(i, v)
-				}
-				tol := 1e-3
-				if dt == Float64 {
-					tol = 1e-10
-				}
-				if !got.AllClose(want, tol, tol) {
-					t.Fatalf("FusedMatMulBias(%v, m=%d k=%d n=%d, relu=%t) diverges", dt, m, k, n, relu)
+					want := naiveMatMul(a, b, ta, tb)
+					for i := 0; i < m*n; i++ {
+						v := want.FloatAt(i) + bias.FloatAt(i%n)
+						if relu {
+							v = math.Max(v, 0)
+						}
+						want.SetFloat(i, v)
+					}
+					tol := 1e-3
+					if dt == Float64 {
+						tol = 1e-10
+					}
+					if !got.AllClose(want, tol, tol) {
+						t.Fatalf("FusedMatMulBias(%v, m=%d k=%d n=%d, ta=%t tb=%t, relu=%t) diverges", dt, m, k, n, ta, tb, relu)
+					}
 				}
 			}
 		}

@@ -2,7 +2,12 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -865,31 +870,85 @@ func TestUnsortedSegmentSum(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTripAllTypes(t *testing.T) {
-	rng := NewRNG(3)
-	tensors := []*Tensor{
-		rng.Uniform(Float32, Shape{3, 2}, -10, 10),
-		rng.Uniform(Float64, Shape{2}, -10, 10),
-		rng.UniformInt(Int32, Shape{5}, 100),
-		rng.UniformInt(Int64, Shape{1, 4}, 1000),
-		FromBools(Shape{3}, []bool{true, false, true}),
-		FromStrings(Shape{2}, []string{"hello", "world with spaces"}),
-		Scalar(3.5),
+// serializeCases returns a tensor of every dtype at ranks 0–4 (plus an
+// empty one), with NaN, ±Inf and −0 among the float payloads.
+func serializeCases() []*Tensor {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1.5, -2.25, 7}
+	shapes := []Shape{{}, {3}, {2, 3}, {2, 1, 3}, {1, 2, 2, 2}, {2, 0, 3}}
+	var out []*Tensor
+	for _, dt := range []DType{Bool, Int32, Int64, Float32, Float64, String} {
+		for _, sh := range shapes {
+			t := New(dt, sh)
+			for i := 0; i < t.NumElements(); i++ {
+				switch dt {
+				case Bool:
+					t.Bools()[i] = i%2 == 0
+				case Int32:
+					t.Int32s()[i] = int32(i*7919) - 1<<30
+				case Int64:
+					t.Int64s()[i] = int64(i)*1e15 - 1<<62
+				case String:
+					t.Strings()[i] = strings.Repeat("x", i)
+				default:
+					t.SetFloat(i, special[i%len(special)])
+				}
+			}
+			out = append(out, t)
+		}
 	}
-	for _, orig := range tensors {
+	// A float32 NaN with payload bits, which a float64 detour would lose.
+	return append(out, FromFloat32s(Shape{1}, []float32{math.Float32frombits(0x7fc00001)}))
+}
+
+func TestSerializeRoundTripAllTypes(t *testing.T) {
+	for _, orig := range serializeCases() {
 		var buf bytes.Buffer
 		if _, err := orig.WriteTo(&buf); err != nil {
-			t.Fatalf("WriteTo(%v): %v", orig, err)
+			t.Fatalf("WriteTo(%v%v): %v", orig.DType(), orig.Shape(), err)
 		}
+		enc := bytes.Clone(buf.Bytes())
 		back, err := ReadFrom(&buf)
 		if err != nil {
-			t.Fatalf("ReadFrom(%v): %v", orig, err)
+			t.Fatalf("ReadFrom(%v%v): %v", orig.DType(), orig.Shape(), err)
 		}
-		if !back.Equal(orig) {
-			t.Errorf("round trip changed %v into %v", orig, back)
+		// Equal treats NaN as unequal and −0 as +0; the re-encoded bytes
+		// compare every bit.
+		reenc, err := back.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reenc, enc) || back.DType() != orig.DType() || !back.Shape().Equal(orig.Shape()) {
+			t.Errorf("round trip of %v%v changed the encoding\n got %x\nwant %x", orig.DType(), orig.Shape(), reenc, enc)
+		}
+		// The payload must match encoding/binary's, which is the path a
+		// big-endian host takes.
+		if orig.DType() != String {
+			want, err := binary.Append(nil, binary.LittleEndian, orig.buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if payload := enc[5+4*orig.Rank():]; !bytes.Equal(payload, want) {
+				t.Errorf("%v%v payload %x, encoding/binary gives %x", orig.DType(), orig.Shape(), payload, want)
+			}
 		}
 	}
+	// Pin the wire format: dtype, rank, dims, then little-endian payload.
+	got, err := FromFloat32s(Shape{2}, []float32{1, float32(math.Copysign(0, -1))}).GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "04" + "01000000" + "02000000" + "0000803f" + "00000080"; fmt.Sprintf("%x", got) != want {
+		t.Errorf("float32 encoding = %x, want %s", got, want)
+	}
 }
+
+// Headers that once killed the decoder: three dims of 2^21 overflow the
+// element count (New panicked), and two dims of 2^16 claim 2^32 float32s
+// that the stream does not hold (the decoder allocated 16 GiB up front).
+var (
+	overflowHeader = []byte{byte(Float32), 3, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0x20, 0, 0, 0, 0x20, 0}
+	hugeHeader     = []byte{byte(Float32), 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0}
+)
 
 func TestSerializeRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader([]byte{1, 2})); err == nil {
@@ -897,6 +956,32 @@ func TestSerializeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadFrom(bytes.NewReader([]byte{99, 0, 0, 0, 0})); err == nil {
 		t.Error("bad dtype accepted")
+	}
+	if _, err := ReadFrom(bytes.NewReader([]byte{byte(Bool), 1, 0, 0, 0, 1, 0, 0, 0, 2})); err == nil {
+		t.Error("bool byte 2 accepted")
+	}
+	for name, hdr := range map[string][]byte{"overflow": overflowHeader, "huge": hugeHeader} {
+		// Through GobDecode's *bytes.Reader, and through a reader that
+		// cannot report its length, as a checkpoint file is read.
+		decoders := map[string]func() error{
+			"GobDecode": func() error { return new(Tensor).GobDecode(hdr) },
+			"ReadFrom": func() error {
+				_, err := ReadFrom(struct{ io.Reader }{bytes.NewReader(hdr)})
+				return err
+			},
+		}
+		for via, decode := range decoders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := decode()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s header accepted by %s", name, via)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s header made %s allocate %d bytes", name, via, alloc)
+			}
+		}
 	}
 }
 
@@ -1097,4 +1182,33 @@ func TestBatchMatMulParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzTensorReadFrom feeds arbitrary bytes to the decoder. Every input must
+// either fail or decode to a tensor whose re-encoding is exactly the bytes
+// consumed, and a reader that cannot report its length must reach the same
+// verdict. Seeds in testdata/fuzz/FuzzTensorReadFrom: one valid encoding per
+// dtype and the two malformed headers above.
+func FuzzTensorReadFrom(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		got, err := ReadFrom(r)
+		chunked, cerr := ReadFrom(struct{ io.Reader }{bytes.NewReader(data)})
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("sized reader err = %v, unsized reader err = %v", err, cerr)
+		}
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		for _, dec := range []*Tensor{got, chunked} {
+			enc, err := dec.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, consumed) {
+				t.Fatalf("decoded %v%v re-encodes to %x, consumed %x", dec.DType(), dec.Shape(), enc, consumed)
+			}
+		}
+	})
 }

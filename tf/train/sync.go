@@ -1,8 +1,11 @@
 package train
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 
+	"repro/internal/queue"
 	"repro/tf"
 )
 
@@ -29,15 +32,17 @@ type SyncReplicas struct {
 
 	// Worker side.
 	enqueueGrads *tf.Operation
-	dequeueToken *tf.Operation
-	stepValue    tf.Output
+	token        tf.Output // dequeues one token: the step it releases
+	localStep    tf.Output // fed with the worker's token, tags its tuple
 
 	// Chief side.
+	stepValue  tf.Output
 	dequeueOne []tf.Output
 	gradFeeds  []tf.Output
 	applyOp    *tf.Operation
 	bumpStep   *tf.Operation
 	tokenFill  *tf.Operation
+	stop       *tf.Operation
 	gradShapes []tf.Shape
 	gradDTypes []tf.DType
 
@@ -109,23 +114,26 @@ func NewSyncReplicas(g *tf.Graph, opt Optimizer, grads []tf.Gradient, vars []*tf
 	s.gradQueue = g.FIFOQueue("sync/grads", 2*total+2, s.gradDTypes, s.gradShapes)
 	s.tokenQueue = g.FIFOQueue("sync/tokens", 2*total+2, []tf.DType{tf.Int32}, []tf.Shape{{}})
 
-	// Worker ops: tag gradients with the current step and enqueue; block
-	// on the token queue before the next step (the barrier of Fig. 4b).
-	// The step tag carries control dependencies on the sparse scatters, so
-	// a worker's accumulator contribution is in place before its tuple can
-	// be dequeued — by the time the chief holds m fresh tuples, the
-	// accumulators hold exactly m contributions.
-	stepComp := s.stepValue
+	// Worker ops: block on the token queue (the barrier of Fig. 4b), then
+	// enqueue gradients tagged with the step the token released. The tag
+	// comes from the token, not from a read of the global step racing the
+	// parameter reads: the worker reads parameters only after taking the
+	// token, so a tuple tagged with the chief's current step was computed
+	// on that step's parameters. The tag carries control dependencies on
+	// the sparse scatters, so a worker's accumulator contribution is in
+	// place before its tuple can be dequeued — by the time the chief holds
+	// m fresh tuples, the accumulators hold exactly m contributions.
+	s.localStep = g.Placeholder("sync/local_step", tf.Int32, tf.Shape{})
+	stepComp := s.localStep
 	if len(scatters) > 0 {
-		stepComp = g.IdentityWithControl(s.stepValue, scatters...)
+		stepComp = g.IdentityWithControl(s.localStep, scatters...)
 	}
 	if len(accZeros) > 0 {
 		s.accReset = g.Group("sync/acc_reset", accZeros...)
 	}
 	comps := append([]tf.Output{stepComp}, dense...)
 	s.enqueueGrads = s.gradQueue.Enqueue(comps...)
-	tok := s.tokenQueue.Dequeue()
-	s.dequeueToken = g.Group("sync/wait_token", tok[0].Op())
+	s.token = s.tokenQueue.Dequeue()[0]
 
 	// Chief ops: dequeue one tagged gradient tuple; apply fed means.
 	s.dequeueOne = s.gradQueue.Dequeue()
@@ -143,8 +151,13 @@ func NewSyncReplicas(g *tf.Graph, opt Optimizer, grads []tf.Gradient, vars []*tf
 	s.applyOp = applyOp
 	s.bumpStep = s.globalStep.AssignAdd(g.Const(int32(1)))
 	s.tokenFill = s.tokenQueue.Enqueue(s.stepValue)
+	s.stop = g.Group("sync/stop", s.gradQueue.Close(), s.tokenQueue.Close())
 	return s, g.Err()
 }
+
+// ErrReplicasStopped is returned by WorkerStep once Stop has closed the
+// queues: the clean end of a worker's loop, tested with errors.Is.
+var ErrReplicasStopped = errors.New("train: sync replicas stopped")
 
 // GlobalStep returns the shared step counter variable.
 func (s *SyncReplicas) GlobalStep() *tf.Variable { return s.globalStep }
@@ -152,13 +165,28 @@ func (s *SyncReplicas) GlobalStep() *tf.Variable { return s.globalStep }
 // WorkerStep runs one synchronous worker step: it blocks on the token queue
 // (the barrier guaranteeing all workers read the same parameter version,
 // Figure 4b), then computes and enqueues this worker's tagged gradients.
-// PrimeTokens must release the first round.
+// PrimeTokens must release the first round. After Stop it returns
+// ErrReplicasStopped.
 func (s *SyncReplicas) WorkerStep(sess *tf.Session, feeds map[tf.Output]*tf.Tensor) error {
-	if err := sess.RunTargets(s.dequeueToken); err != nil {
-		return err
+	token, err := sess.Fetch1(nil, s.token)
+	if err == nil {
+		tagged := make(map[tf.Output]*tf.Tensor, len(feeds)+1)
+		maps.Copy(tagged, feeds)
+		tagged[s.localStep] = token
+		_, err = sess.Run(tagged, nil, s.enqueueGrads)
 	}
-	_, err := sess.Run(feeds, nil, s.enqueueGrads)
+	if errors.Is(err, queue.ErrClosed) {
+		return ErrReplicasStopped
+	}
 	return err
+}
+
+// Stop closes the gradient and token queues. Workers blocked on either
+// wake, and every later WorkerStep ends with ErrReplicasStopped, so
+// gradients that backup workers still hold when the chief finishes cannot
+// leave them blocked on a full gradient queue.
+func (s *SyncReplicas) Stop(sess *tf.Session) error {
+	return sess.RunTargets(s.stop)
 }
 
 // ChiefStep aggregates the first NumWorkers fresh gradient tuples (stale

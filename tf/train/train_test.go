@@ -1,6 +1,7 @@
 package train_test
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -532,8 +533,14 @@ func testSyncReplicas(t *testing.T, numWorkers, numBackup int) {
 			// does not promise round-robin participation (the paper
 			// leans on random batches making duplicates benign, §4.4),
 			// so per-worker targets would not average deterministically.
-			for r := 0; r < rounds; r++ {
+			// Workers run until the chief stops the queues: backup
+			// workers' extra tuples would otherwise overflow the
+			// gradient queue once the chief no longer drains it.
+			for {
 				err := sr.WorkerStep(sess, map[tf.Output]*tf.Tensor{target: tf.Scalar(4)})
+				if errors.Is(err, train.ErrReplicasStopped) {
+					return
+				}
 				if err != nil {
 					errs <- err
 					return
@@ -543,13 +550,15 @@ func testSyncReplicas(t *testing.T, numWorkers, numBackup int) {
 	}
 	chiefErr := make(chan error, 1)
 	go func() {
-		for r := 0; r < rounds; r++ {
-			if err := sr.ChiefStep(sess); err != nil {
-				chiefErr <- err
-				return
-			}
+		var err error
+		for r := 0; r < rounds && err == nil; r++ {
+			err = sr.ChiefStep(sess)
 		}
-		chiefErr <- nil
+		// Stop even after a failed round, so no worker is left blocked.
+		if stopErr := sr.Stop(sess); err == nil {
+			err = stopErr
+		}
+		chiefErr <- err
 	}()
 	wg.Wait()
 	close(errs)
