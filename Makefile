@@ -58,14 +58,16 @@ chaos:
 		|| { echo "chaos suite FAILED — reproduce with: CHAOS_SEED=$(CHAOS_SEED) make chaos"; exit 1; }
 
 # Native-fuzz smoke gate over the untrusted-input parsers: the serving
-# tier's predict request bodies and model version names, and the tensor
-# decoder behind every RPC payload and checkpoint. Seeds live in each
+# tier's predict request bodies and model version names, the tensor
+# decoder behind every RPC payload and checkpoint, and the graph decoder
+# behind every RegisterGraph and saved model. Seeds live in each
 # package's testdata/fuzz/; raise FUZZTIME for a real hunt.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzPredictRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serving -run '^$$' -fuzz FuzzModelVersion -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzTensorReadFrom -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzGraphUnmarshal -fuzztime $(FUZZTIME)
 
 # perfbench/ is its own Go module (it imports this one through a replace
 # directive), so vet/build/test above never compile it; an API change here

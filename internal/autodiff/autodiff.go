@@ -111,16 +111,21 @@ type sweepState struct {
 	between   graph.NodeSet
 	consumers map[graph.Endpoint][]graph.Endpoint
 	pending   map[graph.Endpoint][]Grad
+	readOf    map[graph.Endpoint]graph.Endpoint // variable reference → the x that reads it
 	xSet      map[graph.Endpoint]bool
 	result    map[graph.Endpoint]Grad
 }
 
 // addPending records a gradient contribution for ep if it can still matter:
 // either ep's producer is on a path to the requested xs, or ep itself is a
-// requested x.
+// requested x. A contribution to a variable's reference counts toward the
+// x that reads the variable.
 func (s *sweepState) addPending(ep graph.Endpoint, gr Grad) {
 	if gr.IsZero() {
 		return
+	}
+	if x, ok := s.readOf[ep]; ok {
+		ep = x
 	}
 	if !s.between[ep.Node.ID()] && !s.xSet[ep] {
 		return
@@ -159,15 +164,31 @@ func Gradients(g *graph.Graph, ys, xs []graph.Endpoint, gradYs []graph.Endpoint)
 			}
 		}
 	}
-	// Forward reachability from xs over data edges.
+	// Forward reachability from xs over data edges. A Gather reading a
+	// variable's reference in place (graph.SparseReads moves embedding
+	// lookups there) reads the value the variable's Read returns, so when
+	// x is that Read the Gather starts a path from x too.
 	forward := map[int]bool{}
+	consumers := graph.Consumers(g)
+	readOf := map[graph.Endpoint]graph.Endpoint{}
 	for _, x := range xs {
-		if !forward[x.Node.ID()] {
-			forward[x.Node.ID()] = true
-			stack = append(stack, x.Node)
+		starts := []*graph.Node{x.Node}
+		if x.Node.Op() == "Read" && x.Node.Input(0).Node.Op() == "Variable" {
+			ref := x.Node.Input(0)
+			readOf[ref] = x
+			for _, c := range consumers[ref] {
+				if c.Node.Op() == "Gather" && c.Index == 0 {
+					starts = append(starts, c.Node)
+				}
+			}
+		}
+		for _, n := range starts {
+			if !forward[n.ID()] {
+				forward[n.ID()] = true
+				stack = append(stack, n)
+			}
 		}
 	}
-	consumers := graph.Consumers(g)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -215,6 +236,7 @@ func Gradients(g *graph.Graph, ys, xs []graph.Endpoint, gradYs []graph.Endpoint)
 		between:   between,
 		consumers: consumers,
 		pending:   map[graph.Endpoint][]Grad{},
+		readOf:    readOf,
 		xSet:      map[graph.Endpoint]bool{},
 		result:    map[graph.Endpoint]Grad{},
 	}
@@ -288,13 +310,15 @@ func Gradients(g *graph.Graph, ys, xs []graph.Endpoint, gradYs []graph.Endpoint)
 		}
 	}
 
+	// In-place reads of a variable have no edge from its Read, so their
+	// contributions may arrive after the sweep passed the Read.
 	out := make([]Grad, len(xs))
 	for i, x := range xs {
-		if gr, ok := s.result[x]; ok {
-			out[i] = gr
-			continue
+		grads := s.pending[x]
+		if gr := s.result[x]; !gr.IsZero() {
+			grads = append([]Grad{gr}, grads...)
 		}
-		sum, err := sumGrads(b, s.pending[x])
+		sum, err := sumGrads(b, grads)
 		if err != nil {
 			return nil, err
 		}

@@ -101,11 +101,12 @@ func signature(feeds []graph.Endpoint, fetches []graph.Endpoint, targets []*grap
 	return strings.Join(parts, ";")
 }
 
-// optimizeOnce runs the compile-time pass pipeline (folding, CSE, fusion,
-// dead-marking — graph.NewPipeline) the first time any subgraph is
-// compiled. The replacement map remaps endpoints that moved. Errors are
-// deliberately non-fatal: an unoptimized graph is still correct, and every
-// pass leaves the graph consistent even when a later one fails.
+// optimizeOnce runs the compile-time pass pipeline (folding, CSE, sparse
+// reads, fusion, dead-marking — graph.NewPipeline) the first time any
+// subgraph is compiled. The replacement map remaps endpoints that moved.
+// Errors are deliberately non-fatal: an unoptimized graph is still
+// correct, and every pass leaves the graph consistent even when a later
+// one fails.
 func (s *Session) optimizeOnce() {
 	if s.optimized || !s.opts.Optimize {
 		s.optimized = true

@@ -8,10 +8,12 @@ package distributed_test
 // with the pinned CHAOS_SEED.
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,14 +39,56 @@ func chaosSeed(t *testing.T) int64 {
 	return 20260808
 }
 
-// logSeedOnFailure makes every chaos failure replayable.
+// logSeedOnFailure makes every chaos failure replayable, hangs included. A
+// failed test logs its seed. A test still running shortly before the test
+// binary's -timeout deadline prints the seed and the injected faults to
+// stderr: the timeout panic that follows kills the process without
+// flushing t.Log output or running cleanups.
 func logSeedOnFailure(t *testing.T, seed int64, plan *distributed.ChaosPlan) {
+	summary := func() string {
+		return fmt.Sprintf("chaos seed %d injected %d faults over %d RPCs — rerun with CHAOS_SEED=%d",
+			seed, plan.Faults(), len(plan.Log()), seed)
+	}
+	if deadline, ok := t.Deadline(); ok {
+		left := time.Until(deadline)
+		watchdog := time.AfterFunc(left-min(hangReportMargin, left/10), func() {
+			fmt.Fprintf(os.Stderr, "%s is still running near the test deadline: %s\n%s",
+				t.Name(), summary(), faultLog(plan.Log(), 100))
+		})
+		t.Cleanup(func() { watchdog.Stop() })
+	}
 	t.Cleanup(func() {
 		if t.Failed() {
-			t.Logf("chaos seed %d injected %d faults over %d RPCs — rerun with CHAOS_SEED=%d",
-				seed, plan.Faults(), len(plan.Log()), seed)
+			t.Log(summary())
 		}
 	})
+}
+
+// hangReportMargin is how long before the test deadline a running chaos
+// test reports its seed.
+const hangReportMargin = 10 * time.Second
+
+// faultLog renders the last limit injected faults of a chaos log, one a line.
+func faultLog(log []distributed.FaultRecord, limit int) string {
+	var faults []distributed.FaultRecord
+	for _, r := range log {
+		if r.Kind != distributed.FaultNone {
+			faults = append(faults, r)
+		}
+	}
+	var sb strings.Builder
+	if len(faults) > limit {
+		fmt.Fprintf(&sb, "  (%d earlier faults omitted)\n", len(faults)-limit)
+		faults = faults[len(faults)-limit:]
+	}
+	for _, r := range faults {
+		fmt.Fprintf(&sb, "  #%d %s %s %s", r.Seq, r.Method, r.Task, r.Kind)
+		if r.Delay > 0 {
+			fmt.Fprintf(&sb, " %v", r.Delay)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // baselineLosses runs the uninterrupted fixed-cluster reference schedule on

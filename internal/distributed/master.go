@@ -70,7 +70,8 @@ type fetchSource struct {
 
 // MasterOptions configures a master.
 type MasterOptions struct {
-	// DisableOptimizations turns off CSE and constant folding.
+	// DisableOptimizations turns off the optimization pipeline: constant
+	// folding, CSE, sparse reads and kernel fusion.
 	DisableOptimizations bool
 	// DefaultDevice receives unconstrained nodes; defaults to the first
 	// cluster device.
@@ -143,9 +144,10 @@ func (m *Master) compile(feeds, fetches []graph.Endpoint, targets []*graph.Node)
 	defer m.mu.Unlock()
 
 	// Master-side optimization pipeline (§5), once per graph: constant
-	// folding, CSE, kernel fusion, dead-marking. The fusion pass only
-	// merges nodes with identical device constraints, so it never crosses
-	// a partition boundary.
+	// folding, CSE, sparse reads, kernel fusion, dead-marking. The fusion
+	// pass only merges nodes with identical device constraints, so it
+	// never crosses a partition boundary; the sparse-reads pass moves an
+	// embedding Gather onto its variable's task.
 	if !m.optimized {
 		m.optimized = true
 		if m.optimize {

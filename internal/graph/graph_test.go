@@ -1,6 +1,8 @@
 package graph_test
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -239,4 +241,120 @@ func TestGraphDefRejectsCorruptInput(t *testing.T) {
 	if m2 == nil || m2.NumInputs() != 2 {
 		t.Fatalf("back edge lost in round trip: %v", m2)
 	}
+}
+
+// FuzzGraphUnmarshal feeds arbitrary bytes to Unmarshal, the decoder behind
+// every RegisterGraph payload and saved model graph. It must return an
+// error or a graph without panicking, allocate in proportion to the input
+// (a 4-byte length prefix once cost 10 MB), and a decoded graph must
+// survive a Marshal/Unmarshal round trip unchanged.
+func FuzzGraphUnmarshal(f *testing.F) {
+	for _, build := range []func(g *graph.Graph) error{
+		func(g *graph.Graph) error { return nil },
+		fuzzSeedLoop,
+		fuzzSeedLookup,
+	} {
+		g := graph.New()
+		if err := build(g); err != nil {
+			f.Fatal(err)
+		}
+		data, err := g.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := graph.Unmarshal(data)
+		runtime.ReadMemStats(&after)
+		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); alloc > budget {
+			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), alloc, budget)
+		}
+		if err != nil {
+			return
+		}
+		again, err := g.Marshal()
+		if err != nil {
+			t.Fatalf("decoded graph does not re-encode: %v", err)
+		}
+		back, err := graph.Unmarshal(again)
+		if err != nil {
+			t.Fatalf("re-encoded graph does not decode: %v", err)
+		}
+		if got, want := describeGraph(back), describeGraph(g); got != want {
+			t.Fatalf("round trip changed the graph:\n%s\nwant\n%s", got, want)
+		}
+	})
+}
+
+// describeGraph renders every node's name, op, device, inputs and control
+// inputs, one a line.
+func describeGraph(g *graph.Graph) string {
+	var sb strings.Builder
+	for _, n := range g.Nodes() {
+		fmt.Fprintf(&sb, "%s %s %q %v ^", n.Name(), n.Op(), n.Device(), n.Inputs())
+		for _, c := range n.ControlInputs() {
+			sb.WriteString(c.Name() + ",")
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// fuzzSeedLoop is a While-shaped frame: Enter, Merge and a NextIteration
+// back edge.
+func fuzzSeedLoop(g *graph.Graph) error {
+	c, err := g.AddNode("Const", nil, graph.NodeArgs{Name: "c", Attrs: map[string]any{"value": tensor.Scalar(float32(1))}})
+	if err != nil {
+		return err
+	}
+	enter, err := g.AddNode("Enter", []graph.Endpoint{c.Out(0)}, graph.NodeArgs{Attrs: map[string]any{"frame_name": "f"}})
+	if err != nil {
+		return err
+	}
+	merge, err := g.AddNode("Merge", []graph.Endpoint{enter.Out(0)}, graph.NodeArgs{Attrs: map[string]any{graph.FrameAttr: "f"}})
+	if err != nil {
+		return err
+	}
+	next, err := g.AddNode("NextIteration", []graph.Endpoint{merge.Out(0)}, graph.NodeArgs{Attrs: map[string]any{graph.FrameAttr: "f"}})
+	if err != nil {
+		return err
+	}
+	return g.AddBackEdge(merge, next.Out(0))
+}
+
+// fuzzSeedLookup is an embedding lookup with devices, a control edge and
+// attributes of several kinds.
+func fuzzSeedLookup(g *graph.Graph) error {
+	v, err := g.AddNode("Variable", nil, graph.NodeArgs{Name: "emb", Device: "/job:ps/task:0",
+		Attrs: map[string]any{"dtype": tensor.Float32, "shape": tensor.Shape{4, 2}}})
+	if err != nil {
+		return err
+	}
+	init, err := g.AddNode("Const", nil, graph.NodeArgs{Attrs: map[string]any{"value": tensor.Fill(tensor.Float32, tensor.Shape{4, 2}, 0.5)}})
+	if err != nil {
+		return err
+	}
+	assign, err := g.AddNode("Assign", []graph.Endpoint{v.Out(0), init.Out(0)}, graph.NodeArgs{})
+	if err != nil {
+		return err
+	}
+	read, err := g.AddNode("Read", []graph.Endpoint{v.Out(0)}, graph.NodeArgs{Control: []*graph.Node{assign}})
+	if err != nil {
+		return err
+	}
+	ids, err := g.AddNode("Placeholder", nil, graph.NodeArgs{Name: "ids", Device: "/job:worker/task:0",
+		Attrs: map[string]any{"dtype": tensor.Int32, "shape": tensor.Shape{-1}}})
+	if err != nil {
+		return err
+	}
+	rows, err := g.AddNode("Gather", []graph.Endpoint{read.Out(0), ids.Out(0)}, graph.NodeArgs{})
+	if err != nil {
+		return err
+	}
+	_, err = g.AddNode("Sum", []graph.Endpoint{rows.Out(0)}, graph.NodeArgs{
+		Attrs: map[string]any{"reduction_indices": []int{0, 1}, "keep_dims": false}})
+	return err
 }

@@ -106,6 +106,9 @@ func (a AttrDef) decode() (any, error) {
 	case "dtype":
 		return tensor.DType(a.DType), nil
 	case "tensor":
+		if a.Tensor == nil {
+			return nil, fmt.Errorf("graph: tensor attribute has no value")
+		}
 		return a.Tensor, nil
 	case "dtypes":
 		out := make([]tensor.DType, len(a.DTypes))
@@ -249,11 +252,48 @@ func (g *Graph) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal reconstructs a graph from Marshal's output.
+// Unmarshal reconstructs a graph from Marshal's output. Every
+// RegisterGraph payload passes through it, so it checks the gob framing
+// first: the decoder would otherwise allocate up to 10 MB for a message
+// whose length prefix outruns the bytes that follow.
 func Unmarshal(data []byte) (*Graph, error) {
+	if err := checkGobFrames(data); err != nil {
+		return nil, err
+	}
 	var def GraphDef
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&def); err != nil {
 		return nil, err
 	}
 	return FromDef(&def)
+}
+
+// checkGobFrames walks the length-prefixed messages of a gob stream and
+// rejects a prefix that runs past the end of data.
+func checkGobFrames(data []byte) error {
+	for len(data) > 0 {
+		n, w := gobUint(data)
+		if w == 0 || n > uint64(len(data)-w) {
+			return fmt.Errorf("graph: malformed encoding: message length outruns the %d bytes left", len(data))
+		}
+		data = data[w+int(n):]
+	}
+	return nil
+}
+
+// gobUint decodes gob's unsigned integer: a byte below 0x80 is the value;
+// otherwise the byte is the negated length of the big-endian value that
+// follows. It returns 0 bytes used for a truncated or overlong encoding.
+func gobUint(b []byte) (uint64, int) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
 }

@@ -276,6 +276,7 @@ type Result struct {
 	Folded   int // nodes replaced by Const via constant folding
 	Merged   int // duplicate nodes merged by CSE
 	Fused    int // kernel-fusion rewrites applied
+	Sparse   int // Gather(Read(v)) rewritten to read v in place
 	Dead     int // nodes marked dead (stats only; Prune stays authoritative)
 }
 
@@ -295,7 +296,8 @@ type Pipeline struct {
 // PipelineOptions configures NewPipeline.
 type PipelineOptions struct {
 	// DisableFusion omits the kernel-fusion pass (FusedMatMul and
-	// cross-entropy rewrites); folding, CSE and dead-marking still run.
+	// cross-entropy rewrites); folding, CSE, sparse reads and
+	// dead-marking still run.
 	DisableFusion bool
 }
 
@@ -303,6 +305,7 @@ type PipelineOptions struct {
 //
 //	FoldConstants  evaluate Const-fed stateless nodes at compile time
 //	CSE            merge identical stateless nodes
+//	SparseReads    move Gather(Read(v), ids) onto the variable's reference
 //	Fuse           rewrite hot chains onto fused kernels
 //	MarkDead       tag nodes no live consumer can reach (stats/tooling)
 //
@@ -311,7 +314,7 @@ type PipelineOptions struct {
 // gradient construction, sees gradient consumers and correctly refuses to
 // fuse interior values the backward pass reads).
 func NewPipeline(eval Evaluator, opts PipelineOptions) *Pipeline {
-	p := &Pipeline{Passes: []Pass{FoldConstantsPass(eval), CSEPass()}}
+	p := &Pipeline{Passes: []Pass{FoldConstantsPass(eval), CSEPass(), SparseReadsPass()}}
 	if !opts.DisableFusion {
 		p.Passes = append(p.Passes, FusePass())
 	}
@@ -347,6 +350,16 @@ func CSEPass() Pass {
 		res.Merged += len(replaced)
 		mergeReplaced(res, replaced)
 		return nil
+	}}
+}
+
+// SparseReadsPass wraps SparseReads (sparseread.go) as a pipeline pass.
+func SparseReadsPass() Pass {
+	return Pass{Name: "sparse-reads", Run: func(g *Graph, res *Result) error {
+		n, replaced, err := SparseReads(g)
+		res.Sparse += n
+		mergeReplaced(res, replaced)
+		return err
 	}}
 }
 

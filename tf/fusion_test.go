@@ -289,3 +289,42 @@ func TestOptimizedGraphGolden(t *testing.T) {
 		t.Errorf("optimized graph drifted from golden snapshot.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
+
+// TestGradientsAfterSparseReadRewrite: the first Run moves
+// Gather(v.Value(), ids) onto v's reference; gradients built afterwards
+// must still reach v.Value(), and a Gather written on v.Ref() is
+// differentiable the same way.
+func TestGradientsAfterSparseReadRewrite(t *testing.T) {
+	g := tf.NewGraph()
+	v := g.NewVariableFromTensor("v", tf.FromFloat32s(tf.Shape{4, 1}, []float32{1, 2, 3, 4}))
+	ids := g.Const([]int32{0, 2})
+	lookup := g.Mean(g.Square(g.Gather(v.Value(), ids)), nil, false)
+	inPlace := g.Mean(g.Square(g.Gather(v.Ref(), ids)), nil, false)
+	sess, err := tf.NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.RunTargets(g.InitOp()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(nil, []tf.Output{lookup}); err != nil {
+		t.Fatal(err)
+	}
+	for name, loss := range map[string]tf.Output{"Gather(v.Value())": lookup, "Gather(v.Ref())": inPlace} {
+		grads, err := g.Gradients([]tf.Output{loss}, []tf.Output{v.Value()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grads[0].Sparse == nil {
+			t.Fatalf("%s: gradient %+v, want sparse rows", name, grads[0])
+		}
+		out, err := sess.Run(nil, []tf.Output{grads[0].Sparse.Indices, grads[0].Sparse.Values})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// d/drows mean(rows²) = rows for two rows: v[0] = 1, v[2] = 3.
+		if got := fmt.Sprint(out[0].Int32s(), out[1].Float32s()); got != "[0 2] [1 3]" {
+			t.Errorf("%s: gradient (indices, values) = %s, want [0 2] [1 3]", name, got)
+		}
+	}
+}

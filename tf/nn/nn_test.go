@@ -2,8 +2,13 @@ package nn_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/distributed"
+	"repro/internal/exec"
+	"repro/internal/graph"
+	"repro/internal/placement"
 	"repro/tf"
 	"repro/tf/nn"
 	"repro/tf/train"
@@ -404,5 +409,99 @@ func TestLinearData(t *testing.T) {
 		if math.Abs(float64(y.Float32s()[i]-want)) > 1e-5 {
 			t.Fatalf("row %d: y = %g, want %g", i, y.Float32s()[i], want)
 		}
+	}
+}
+
+// TestShardedEmbeddingGathersOnShardTasks: with each shard on its own PS
+// task, the optimization pipeline moves every shard's Gather onto the task
+// that owns the shard (§4.2, Figure 3), no shard's full Read runs, and the
+// lookup returns what the unoptimized graph returns.
+func TestShardedEmbeddingGathersOnShardTasks(t *testing.T) {
+	const vocab, dim, shards = 11, 3, 2
+	type lookup struct {
+		g         *tf.Graph
+		emb       *nn.ShardedEmbedding
+		ids, rows tf.Output
+	}
+	build := func() lookup {
+		g := tf.NewGraph()
+		g.SetSeed(3)
+		emb, err := nn.NewShardedEmbedding(g, "emb", vocab, dim, shards,
+			func(s int) string { return distributed.TaskName("ps", s) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg := g.WithDevice("/job:worker/task:0")
+		ids := wg.Placeholder("ids", tf.Int32, tf.Shape{-1})
+		rows := emb.Lookup(wg, ids)
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return lookup{g, emb, ids, rows}
+	}
+
+	spec := distributed.ClusterSpec{"ps": make([]string, shards), "worker": {""}}
+	cluster := distributed.NewInProcCluster(spec)
+	run := func(l lookup, opts distributed.MasterOptions, init bool) *tf.Tensor {
+		m, err := distributed.NewMaster(l.g.Raw(), spec, cluster.Resolver(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if init {
+			if _, err := m.Run(nil, nil, []*graph.Node{l.g.InitOp().Node()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		feeds := map[graph.Endpoint]*tf.Tensor{l.ids.Unwrap(): tf.FromInt32s(tf.Shape{6}, []int32{7, 0, 3, 3, 10, 2})}
+		out, err := m.Run(feeds, []graph.Endpoint{l.rows.Unwrap()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	// Both graphs read the same shards: their variables share names.
+	want := run(build(), distributed.MasterOptions{DisableOptimizations: true}, true)
+	if got := run(build(), distributed.MasterOptions{}, false); !got.Equal(want) {
+		t.Errorf("optimized lookup %v, unoptimized %v", got, want)
+	}
+
+	// Place the rows fetch of an optimized graph as the master does.
+	l := build()
+	res, err := graph.NewPipeline(exec.Evaluator("CPU", nil), graph.PipelineOptions{}).Run(l.g.Raw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sparse != shards {
+		t.Errorf("pipeline moved %d Gathers, want %d", res.Sparse, shards)
+	}
+	set, err := graph.Prune(l.g.Raw(), []graph.Endpoint{l.ids.Unwrap()},
+		[]graph.Endpoint{graph.Remap(res.Replaced, l.rows.Unwrap())}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := spec.Devices()
+	asg, err := placement.Place(l.g.Raw(), set, devs, devs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	placed := map[string]bool{}
+	for _, id := range set.SortedIDs() {
+		n := l.g.Raw().Node(id)
+		for s, shard := range l.emb.Shards {
+			if n.Op() == "Read" && n.Input(0).Node == shard.Node() {
+				t.Errorf("shard %d's full-table Read runs for a lookup", s)
+			}
+			if n.Op() != "Gather" || n.Input(0).Node != shard.Node() {
+				continue
+			}
+			want := distributed.TaskName("ps", s)
+			if got := asg[id].String(); !strings.HasPrefix(got, want+"/") {
+				t.Errorf("shard %d's Gather placed on %s, want %s", s, got, want)
+			}
+			placed[want] = true
+		}
+	}
+	if len(placed) != shards {
+		t.Errorf("Gathers placed on shard tasks %v, want one per shard", placed)
 	}
 }

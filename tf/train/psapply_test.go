@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/distributed"
+	"repro/internal/graph"
 	"repro/tf"
 )
 
@@ -386,6 +387,34 @@ type trafficCounter struct {
 	pushDense  map[string]int // total dense elements pushed
 	pushValues map[string]int // total sparse value elements pushed
 	pushCalls  int
+	// recvs counts RecvTensor payloads by element count, over every
+	// task's peer transports.
+	recvs map[int]int
+}
+
+func newTrafficCounter(markElems int) *trafficCounter {
+	return &trafficCounter{markElems: markElems, pushDense: map[string]int{}, pushValues: map[string]int{}, recvs: map[int]int{}}
+}
+
+// countedCluster is an in-process cluster whose every task, and the
+// client, reaches its peers through the counter: worker↔PS RecvTensor
+// traffic is counted along with the client's RPCs.
+func countedCluster(spec distributed.ClusterSpec, c *trafficCounter) (distributed.Resolver, map[string]*distributed.Worker) {
+	workers := map[string]*distributed.Worker{}
+	resolver := c.resolver(func(task string) (distributed.Transport, error) {
+		w, ok := workers[task]
+		if !ok {
+			return nil, fmt.Errorf("unknown task %s", task)
+		}
+		return &distributed.InProc{W: w}, nil
+	})
+	for job, addrs := range spec {
+		for i := range addrs {
+			w := distributed.NewWorker(job, i, resolver)
+			workers[w.Task()] = w
+		}
+	}
+	return resolver, workers
 }
 
 func (c *trafficCounter) resolver(inner distributed.Resolver) distributed.Resolver {
@@ -412,6 +441,16 @@ func (t *countingTransport) RunGraph(req *distributed.RunGraphReq) (*distributed
 	}
 	t.c.mu.Unlock()
 	return t.Transport.RunGraph(req)
+}
+
+func (t *countingTransport) RecvTensor(req *distributed.RecvTensorReq, abort <-chan struct{}) (*distributed.RecvTensorResp, error) {
+	resp, err := t.Transport.RecvTensor(req, abort)
+	if err == nil && resp.Tensor != nil {
+		t.c.mu.Lock()
+		t.c.recvs[resp.Tensor.NumElements()]++
+		t.c.mu.Unlock()
+	}
+	return resp, err
 }
 
 func (t *countingTransport) PushGradients(req *distributed.PushGradientsReq, abort <-chan struct{}) (*distributed.PushGradientsResp, error) {
@@ -456,17 +495,16 @@ func bigFeeds(wi, s int) map[string]*tf.Tensor {
 	return map[string]*tf.Tensor{"x": xs, "y": ys}
 }
 
-// runCountedSync is runSyncReplicated with the master's transports wrapped
-// by a trafficCounter.
+// runCountedSync is runSyncReplicated with every transport, the masters'
+// and the tasks', wrapped by a trafficCounter.
 func runCountedSync(t *testing.T, opts ReplicatedOptions, model ModelFn,
 	feeds func(wi, s int) map[string]*tf.Tensor, markElems, workers, rounds int,
 ) *trafficCounter {
 	t.Helper()
-	c := &trafficCounter{markElems: markElems, pushDense: map[string]int{}, pushValues: map[string]int{}}
+	c := newTrafficCounter(markElems)
 	spec := distributed.ClusterSpec{"ps": make([]string, 1), "worker": make([]string, workers)}
-	cluster := distributed.NewInProcCluster(spec)
 	opts.Cluster = spec
-	opts.Resolver = c.resolver(cluster.Resolver())
+	opts.Resolver, _ = countedCluster(spec, c)
 	opts.Sync = true
 	r, err := NewReplicated(opts, model)
 	if err != nil {
@@ -518,44 +556,130 @@ func TestPSApplyChiefTrafficCarriesNoGradients(t *testing.T) {
 	}
 }
 
+// wideVocab makes the embedding table's size unique among the tensors a
+// step moves: vocab×dim elements, against batch×dim gathered rows.
+const wideVocab = 128
+
+// wideEmbModel is embModel over a wideVocab-row table.
+func wideEmbModel(rb *ReplicaGraph) (*Model, error) {
+	idx := rb.Placeholder("idx", tf.Int32, tf.Shape{embBatch})
+	init := tf.NewTensor(tf.Float32, tf.Shape{wideVocab, embDim})
+	for i := 0; i < init.NumElements(); i++ {
+		init.SetFloat(i, float64(i%13)*0.1-0.6)
+	}
+	emb := rb.Variable("emb", init)
+	rows := rb.Gather(emb.Value(), idx)
+	loss := rb.Mean(rb.Square(rows), nil, false)
+	return &Model{Loss: loss, Inputs: map[string]tf.Output{"idx": idx}}, nil
+}
+
+func wideEmbFeeds(wi, s int) map[string]*tf.Tensor {
+	v := []int32{
+		int32((wi*17 + s) % wideVocab),
+		int32((wi + s*29 + 3) % wideVocab),
+		int32((s*41 + 7) % wideVocab),
+	}
+	return map[string]*tf.Tensor{"idx": tf.FromInt32s(tf.Shape{embBatch}, v)}
+}
+
 // TestSparsePushTrafficScalesWithGatheredRows: an embedding push carries
 // the gathered rows' values (batch×dim elements), never a vocab-sized dense
 // tensor — per-step traffic scales with the lookups, not the table (§4.2).
 func TestSparsePushTrafficScalesWithGatheredRows(t *testing.T) {
 	const (
-		bigVocab = 128
-		workers  = 2
-		rounds   = 4
+		workers = 2
+		rounds  = 4
 	)
-	model := func(rb *ReplicaGraph) (*Model, error) {
-		idx := rb.Placeholder("idx", tf.Int32, tf.Shape{embBatch})
-		init := tf.NewTensor(tf.Float32, tf.Shape{bigVocab, embDim})
-		for i := 0; i < init.NumElements(); i++ {
-			init.SetFloat(i, float64(i%13)*0.1-0.6)
-		}
-		emb := rb.Variable("emb", init)
-		rows := rb.Gather(emb.Value(), idx)
-		loss := rb.Mean(rb.Square(rows), nil, false)
-		return &Model{Loss: loss, Inputs: map[string]tf.Output{"idx": idx}}, nil
-	}
-	feeds := func(wi, s int) map[string]*tf.Tensor {
-		v := []int32{
-			int32((wi*17 + s) % bigVocab),
-			int32((wi + s*29 + 3) % bigVocab),
-			int32((s*41 + 7) % bigVocab),
-		}
-		return map[string]*tf.Tensor{"idx": tf.FromInt32s(tf.Shape{embBatch}, v)}
-	}
 	c := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}},
-		model, feeds, bigVocab*embDim, workers, rounds)
+		wideEmbModel, wideEmbFeeds, wideVocab*embDim, workers, rounds)
 	if c.pushDense["emb"] != 0 {
 		t.Errorf("embedding gradient was densified on the wire: %d dense elements pushed", c.pushDense["emb"])
 	}
 	if want := workers * rounds * embBatch * embDim; c.pushValues["emb"] != want {
 		t.Errorf("pushed %d sparse value elements for emb, want %d (= workers×rounds×batch×dim; vocab×dim would be %d per push)",
-			c.pushValues["emb"], want, bigVocab*embDim)
+			c.pushValues["emb"], want, wideVocab*embDim)
 	}
 	if c.markFeeds != 0 {
 		t.Errorf("%d vocab-sized tensors crossed RunGraph feeds; embedding traffic must scale with the gathered rows", c.markFeeds)
+	}
+}
+
+// TestSparseReadTrafficScalesWithGatheredRows: the embedding Gather runs on
+// the PS task that owns the table (§4.2, Figure 3), so the rows a step
+// gathers cross RecvTensor and the table never does.
+func TestSparseReadTrafficScalesWithGatheredRows(t *testing.T) {
+	const (
+		workers = 2
+		rounds  = 4
+	)
+	c := runCountedSync(t, ReplicatedOptions{Optimizer: &GradientDescent{LearningRate: 0.1}},
+		wideEmbModel, wideEmbFeeds, wideVocab*embDim, workers, rounds)
+	if n := c.recvs[wideVocab*embDim]; n != 0 {
+		t.Errorf("%d vocab×dim tensors crossed RecvTensor; a worker must receive only the rows it gathers", n)
+	}
+	if n := c.recvs[embBatch*embDim]; n < workers*rounds {
+		t.Errorf("%d batch×dim tensors crossed RecvTensor, want at least %d (the gathered rows, every worker, every round)",
+			n, workers*rounds)
+	}
+}
+
+// TestSparseReadsMatchUnoptimizedMaster: moving the Gather onto the
+// variable's task changes where the rows are read, not what is read. A
+// worker training the embedding in place (Adagrad's sparse apply on the
+// PS) produces bit-identical losses and table with and without the
+// optimization pipeline, and only the unoptimized run ships the table.
+func TestSparseReadsMatchUnoptimizedMaster(t *testing.T) {
+	const steps = 6
+	run := func(opts distributed.MasterOptions) ([]float64, *tf.Tensor, *trafficCounter) {
+		spec := distributed.ClusterSpec{"ps": {""}, "worker": {""}}
+		c := newTrafficCounter(wideVocab * embDim)
+		resolver, workers := countedCluster(spec, c)
+		g := tf.NewGraph()
+		ps := distributed.TaskName("ps", 0)
+		rb := &ReplicaGraph{Graph: g.WithDevice(distributed.TaskName("worker", 0)), root: g, psTasks: []string{ps}}
+		m, err := wideEmbModel(rb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainOp, err := (&Adagrad{LearningRate: 0.5, InitialAccum: 0.1}).Minimize(rb.Graph, m.Loss, rb.vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Err(); err != nil {
+			t.Fatal(err)
+		}
+		master, err := distributed.NewMaster(g.Raw(), spec, resolver, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := master.Run(nil, nil, []*graph.Node{g.InitOp().Node()}); err != nil {
+			t.Fatal(err)
+		}
+		losses := make([]float64, steps)
+		for s := range losses {
+			feeds := map[graph.Endpoint]*tf.Tensor{m.Inputs["idx"].Unwrap(): wideEmbFeeds(0, s)["idx"]}
+			out, err := master.Run(feeds, []graph.Endpoint{m.Loss.Unwrap()}, []*graph.Node{trainOp.Node()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses[s] = out[0].FloatAt(0)
+		}
+		return losses, workers[ps].Device().Resources().SnapshotVariables()["emb"], c
+	}
+	want, wantEmb, plain := run(distributed.MasterOptions{DisableOptimizations: true})
+	got, gotEmb, optimized := run(distributed.MasterOptions{})
+	for s := range want {
+		if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
+			t.Errorf("step %d loss = %v optimized, %v unoptimized", s, got[s], want[s])
+		}
+	}
+	for i, w := range wantEmb.Float32s() {
+		if g := gotEmb.Float32s()[i]; math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("emb[%d] = %v optimized, %v unoptimized", i, g, w)
+		}
+	}
+	if plain.recvs[wideVocab*embDim] == 0 || optimized.recvs[wideVocab*embDim] != 0 {
+		t.Errorf("vocab×dim RecvTensor payloads: %d unoptimized, %d optimized; want some, then none",
+			plain.recvs[wideVocab*embDim], optimized.recvs[wideVocab*embDim])
 	}
 }
